@@ -22,11 +22,11 @@ from typing import Callable, Optional, Sequence, Union
 
 from .multiset import (
     OMEGA,
+    FormulaFamily,
     Multiplicity,
     OmegaMultiset,
     Sequent,
-    parse_formula,
-    render_formula,
+    SequentSide,
 )
 from .syntax import (
     App,
@@ -45,7 +45,8 @@ from .syntax import (
     enumerate_closed_terms,
     formulas_equal,
     free_vars,
-    normalize_formula,
+    parse_formula,
+    render_formula,
     render_term,
     substitute,
     term_vars,
@@ -79,164 +80,6 @@ def subst_open(f: Formula, x: str, t: Term) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Sequents with omega-indexed formula families
-
-
-@dataclass(frozen=True)
-class FormulaFamily:
-    """One formula per natural-number slot >= start, given by a template
-    over the index variable (which occurs only inside terms)."""
-
-    var: str
-    start: int
-    template: Formula
-
-    def at(self, rep: Term) -> Formula:
-        return subst_open(self.template, self.var, rep)
-
-
-def _family_key(sig: Signature, fam: FormulaFamily):
-    canon = normalize_formula(subst_open(fam.template, fam.var, Var("#i")), sig)
-    return (fam.start, render_formula(canon))
-
-
-class SequentSide:
-    __slots__ = ("finite", "families")
-
-    def __init__(
-        self,
-        finite: OmegaMultiset,
-        families: Sequence[FormulaFamily] = (),
-    ) -> None:
-        self.finite = finite
-        folded: list[FormulaFamily] = []
-        for fam in families:
-            if fam.var in free_vars(fam.template):
-                folded.append(fam)
-            else:
-                # degenerate family: the same sentence at every slot
-                finite.add(fam.template, OMEGA)
-        self.families = tuple(
-            sorted(folded, key=lambda f: _family_key(finite.sig, f))
-        )
-
-    @property
-    def sig(self) -> Signature:
-        return self.finite.sig
-
-    def copy(self) -> "SequentSide":
-        return SequentSide(self.finite.copy(), self.families)
-
-    def with_added(self, f: Formula, m: Multiplicity = 1) -> "SequentSide":
-        out = self.finite.copy()
-        out.add(f, m, allow_open=True)
-        return SequentSide(out, self.families)
-
-    def with_removed_one(self, f: Formula) -> "SequentSide":
-        return SequentSide(self.finite.remove_one(f), self.families)
-
-    def union(self, other: "SequentSide") -> "SequentSide":
-        return SequentSide(
-            self.finite.union(other.finite), self.families + other.families
-        )
-
-    def minus(self, other: "SequentSide") -> "SequentSide":
-        """Remove the other side (context subtraction); raises CheckError
-        when something is missing."""
-        try:
-            finite = self.finite.minus(other.finite)
-        except ValueError as e:
-            raise CheckError(str(e)) from None
-        fams = list(self.families)
-        for fam in other.families:
-            key = _family_key(self.sig, fam)
-            for i, mine in enumerate(fams):
-                if _family_key(self.sig, mine) == key:
-                    del fams[i]
-                    break
-            else:
-                raise CheckError(
-                    f"family not present: {render_formula(fam.template)}"
-                )
-        return SequentSide(finite, tuple(fams))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SequentSide):
-            return NotImplemented
-        if self.finite != other.finite:
-            return False
-        mine = [_family_key(self.sig, f) for f in self.families]
-        theirs = [_family_key(other.sig, f) for f in other.families]
-        return mine == theirs
-
-    def render(self) -> str:
-        parts: list[str] = []
-        for f, m in self.finite.items():
-            text = render_formula(f)
-            if m is OMEGA:
-                parts.append(f"{text}^w")
-            elif m == 1:
-                parts.append(text)
-            else:
-                parts.append(f"{text}^{m}")
-        for fam in self.families:
-            parts.append(
-                f"{render_formula(fam.template)}[{fam.var}>={fam.start}]"
-            )
-        return ", ".join(parts)
-
-
-class ProofSequent:
-    """Sequent as used inside derivations: finite parts plus families."""
-
-    __slots__ = ("ant", "suc")
-
-    def __init__(self, ant: SequentSide, suc: SequentSide) -> None:
-        self.ant = ant
-        self.suc = suc
-
-    @staticmethod
-    def make(
-        sig: Signature,
-        ant: Sequence[tuple[Formula, Multiplicity]] = (),
-        suc: Sequence[tuple[Formula, Multiplicity]] = (),
-        ant_families: Sequence[FormulaFamily] = (),
-        suc_families: Sequence[FormulaFamily] = (),
-    ) -> "ProofSequent":
-        return ProofSequent(
-            SequentSide(OmegaMultiset(sig, ant, allow_open=True), ant_families),
-            SequentSide(OmegaMultiset(sig, suc, allow_open=True), suc_families),
-        )
-
-    @staticmethod
-    def from_plain(s: Sequent) -> "ProofSequent":
-        return ProofSequent(SequentSide(s.antecedent.copy()), SequentSide(s.succedent.copy()))
-
-    def to_plain(self) -> Sequent:
-        if self.ant.families or self.suc.families:
-            raise CheckError("sequent carries omega-indexed families")
-        return Sequent(self.ant.finite.copy(), self.suc.finite.copy())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProofSequent):
-            return NotImplemented
-        return self.ant == other.ant and self.suc == other.suc
-
-    def render(self) -> str:
-        return f"{self.ant.render()} |- {self.suc.render()}"
-
-    def __repr__(self) -> str:
-        return f"<{self.render()}>"
-
-
-AnySequent = Union[ProofSequent, Sequent]
-
-
-def _as_proof_sequent(s: AnySequent) -> ProofSequent:
-    return s if isinstance(s, ProofSequent) else ProofSequent.from_plain(s)
-
-
-# ---------------------------------------------------------------------------
 # Derivations
 
 
@@ -250,7 +93,7 @@ class SlotRef:
 
 @dataclass(frozen=True)
 class Derivation:
-    conclusion: ProofSequent
+    conclusion: Sequent
     rule: str
     premises: tuple[Union["Derivation", SlotRef], ...] = ()
     family: Optional["UniformFamily"] = None
@@ -291,8 +134,8 @@ def _instantiate_side(side: SequentSide, var: str, rep: Term, sig: Signature) ->
     return SequentSide(out, fams)
 
 
-def instantiate_sequent(s: ProofSequent, var: str, rep: Term, sig: Signature) -> ProofSequent:
-    return ProofSequent(
+def instantiate_sequent(s: Sequent, var: str, rep: Term, sig: Signature) -> Sequent:
+    return Sequent(
         _instantiate_side(s.ant, var, rep, sig),
         _instantiate_side(s.suc, var, rep, sig),
     )
@@ -340,7 +183,7 @@ def _has_slot_refs(d: Derivation) -> bool:
 
 
 def _derivation_uses_var(d: Derivation, var: str) -> bool:
-    def seq_uses(s: ProofSequent) -> bool:
+    def seq_uses(s: Sequent) -> bool:
         for side in (s.ant, s.suc):
             for f, _ in side.finite.items():
                 if var in free_vars(f):
@@ -413,8 +256,8 @@ class SequentFamily:
 
     var: str
     start: int
-    template: ProofSequent
-    explicit: tuple[ProofSequent, ...] = ()
+    template: Sequent
+    explicit: tuple[Sequent, ...] = ()
 
 
 class _RuleChecker:
@@ -475,8 +318,8 @@ class _RuleChecker:
     def check(
         self,
         rule: str,
-        premises: Sequence[ProofSequent],
-        conclusion: ProofSequent,
+        premises: Sequence[Sequent],
+        conclusion: Sequent,
         principal: Optional[Formula] = None,
         family: Optional[SequentFamily] = None,
     ) -> Verdict:
@@ -491,7 +334,7 @@ class _RuleChecker:
         except StepBudgetError as e:
             return Verdict(False, f"rewriting diverged: {e}")
 
-    def _need(self, premises: list[ProofSequent], n: int, rule: str) -> None:
+    def _need(self, premises: list[Sequent], n: int, rule: str) -> None:
         if len(premises) != n:
             raise CheckError(f"{rule} takes {n} premise(s), got {len(premises)}")
 
@@ -514,7 +357,7 @@ class _RuleChecker:
 
     # single-premise propositional rules -------------------------------------
 
-    def _expect(self, premise: ProofSequent, expected: ProofSequent, what: str) -> Verdict:
+    def _expect(self, premise: Sequent, expected: Sequent, what: str) -> Verdict:
         if premise == expected:
             return Verdict(True)
         return Verdict(
@@ -528,7 +371,7 @@ class _RuleChecker:
         for f in self._candidates(conclusion.ant, principal, Neg):
             if not isinstance(f, Neg):
                 continue
-            expected = ProofSequent(
+            expected = Sequent(
                 conclusion.ant.with_removed_one(f),
                 conclusion.suc.with_added(f.body),
             )
@@ -543,7 +386,7 @@ class _RuleChecker:
         for f in self._candidates(conclusion.suc, principal, Neg):
             if not isinstance(f, Neg):
                 continue
-            expected = ProofSequent(
+            expected = Sequent(
                 conclusion.ant.with_added(f.body),
                 conclusion.suc.with_removed_one(f),
             )
@@ -558,7 +401,7 @@ class _RuleChecker:
         for f in self._candidates(conclusion.suc, principal, Cond):
             if not isinstance(f, Cond):
                 continue
-            expected = ProofSequent(
+            expected = Sequent(
                 conclusion.ant.with_added(f.lhs),
                 conclusion.suc.with_removed_one(f).with_added(f.rhs),
             )
@@ -586,7 +429,7 @@ class _RuleChecker:
                     f"second premise lacks {render_formula(f.rhs)} in the antecedent",
                 )
                 continue
-            expected = ProofSequent(
+            expected = Sequent(
                 p0.ant.union(p1.ant.with_removed_one(f.rhs)).with_added(f),
                 p0.suc.with_removed_one(f.lhs).union(p1.suc),
             )
@@ -629,7 +472,7 @@ class _RuleChecker:
         last = Verdict(False, "no truth atom in the succedent")
         for atom in self._truth_atom_candidates(conclusion.suc, principal):
             named = self._named_body(atom)
-            expected = ProofSequent(
+            expected = Sequent(
                 conclusion.ant.copy(),
                 conclusion.suc.with_removed_one(atom).with_added(named),
             )
@@ -645,7 +488,7 @@ class _RuleChecker:
         last = Verdict(False, "no truth atom in the antecedent")
         for atom in self._truth_atom_candidates(conclusion.ant, principal):
             named = self._named_body(atom)
-            expected = ProofSequent(
+            expected = Sequent(
                 conclusion.ant.with_removed_one(atom).with_added(named),
                 conclusion.suc.copy(),
             )
@@ -789,7 +632,7 @@ class _RuleChecker:
             delta = conclusion.suc.with_removed_one(f)
             try:
                 residual = premise.suc.minus(delta)
-            except CheckError as e:
+            except ValueError as e:
                 last = Verdict(False, f"premise lacks the conclusion context: {e}")
                 continue
             vacuous = f.var not in free_vars(f.body)
@@ -846,7 +689,7 @@ class _RuleChecker:
                     f"premise lacks the instance {render_formula(f.body)}",
                 )
                 continue
-            expected = ProofSequent(
+            expected = Sequent(
                 premise.ant.with_removed_one(f.body).with_added(f),
                 premise.suc.copy(),
             )
@@ -859,7 +702,7 @@ class _RuleChecker:
         return last
 
     def _exists_left_family(
-        self, conclusion: ProofSequent, principal: Optional[Formula], fam: SequentFamily
+        self, conclusion: Sequent, principal: Optional[Formula], fam: SequentFamily
     ) -> Verdict:
         last = Verdict(False, "no existential formula in the antecedent")
         for f in self._exists_candidates(conclusion.ant, principal):
@@ -870,7 +713,7 @@ class _RuleChecker:
         return last
 
     def _exists_left_family_one(
-        self, conclusion: ProofSequent, f: Exists, fam: SequentFamily
+        self, conclusion: Sequent, f: Exists, fam: SequentFamily
     ) -> Verdict:
         var, body = f.var, f.body
         vacuous = var not in free_vars(body)
@@ -924,7 +767,7 @@ class _RuleChecker:
                 tail_suc.add(g, OMEGA, allow_open=True)
         expected_ant = expected_ant.union(SequentSide(tail_ant, tail_ant_fams))
         expected_suc = expected_suc.union(SequentSide(tail_suc, tail_suc_fams))
-        expected = ProofSequent(expected_ant, expected_suc)
+        expected = Sequent(expected_ant, expected_suc)
         if expected != conclusion:
             return Verdict(
                 False,
@@ -953,8 +796,8 @@ class _RuleChecker:
 def check_instance(
     sig: Signature,
     rule: str,
-    premises: Sequence[AnySequent],
-    conclusion: AnySequent,
+    premises: Sequence[Sequent],
+    conclusion: Sequent,
     policy: str = MULTIPLICATIVE,
     principal: Optional[Formula] = None,
     family: Optional[SequentFamily] = None,
@@ -967,13 +810,7 @@ def check_instance(
     summaries; their verification is bounded by ``depth``.
     """
     checker = _RuleChecker(sig, policy, depth)
-    return checker.check(
-        rule,
-        [_as_proof_sequent(p) for p in premises],
-        _as_proof_sequent(conclusion),
-        principal,
-        family,
-    )
+    return checker.check(rule, premises, conclusion, principal, family)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +888,7 @@ class DerivationChecker:
         self,
         d: Derivation,
         path: str,
-        resolver: Optional[Callable[[int], ProofSequent]],
+        resolver: Optional[Callable[[int], Sequent]],
         report: CheckReport,
     ) -> bool:
         try:
@@ -1097,7 +934,7 @@ class DerivationChecker:
         uses_var = _derivation_uses_var(fam.template, fam.var)
         has_refs = _has_slot_refs(fam.template)
 
-        def slot_conclusion(n: int) -> ProofSequent:
+        def slot_conclusion(n: int) -> Sequent:
             if n < 0:
                 raise CheckError("slot reference before the first slot")
             if n < fam.start:
@@ -1126,7 +963,7 @@ class DerivationChecker:
             else:
                 inst = fam.template
 
-            def resolver(offset: int, _slot: int = slot) -> ProofSequent:
+            def resolver(offset: int, _slot: int = slot) -> Sequent:
                 return slot_conclusion(_slot - offset)
 
             ok = self._node(inst, f"{path}.fam[{slot}]", resolver, report)
@@ -1155,59 +992,8 @@ def check_derivation(
 # JSON serialisation of derivations
 
 
-def _side_to_json(side: SequentSide) -> tuple[list, list]:
-    finite = [
-        [render_formula(f), "w" if m is OMEGA else m] for f, m in side.finite.items()
-    ]
-    fams = [
-        {
-            "var": fam.var,
-            "start": fam.start,
-            "formula": render_formula(fam.template),
-        }
-        for fam in side.families
-    ]
-    return finite, fams
-
-
-def proof_sequent_to_json(s: ProofSequent) -> dict:
-    ant, ant_fams = _side_to_json(s.ant)
-    suc, suc_fams = _side_to_json(s.suc)
-    out: dict = {"ant": ant, "suc": suc}
-    if ant_fams:
-        out["antFams"] = ant_fams
-    if suc_fams:
-        out["sucFams"] = suc_fams
-    return out
-
-
-def _parse_open_formula(text: str, sig: Signature) -> Formula:
-    return parse_formula(text, sig)
-
-
-def proof_sequent_from_json(data: dict, sig: Signature) -> ProofSequent:
-    def side(entries: list, fams: list) -> SequentSide:
-        ms = OmegaMultiset(sig)
-        for formula_text, m in entries:
-            ms.add(
-                _parse_open_formula(formula_text, sig),
-                OMEGA if m == "w" else int(m),
-                allow_open=True,
-            )
-        families = [
-            FormulaFamily(f["var"], int(f["start"]), _parse_open_formula(f["formula"], sig))
-            for f in fams
-        ]
-        return SequentSide(ms, families)
-
-    return ProofSequent(
-        side(data.get("ant", []), data.get("antFams", [])),
-        side(data.get("suc", []), data.get("sucFams", [])),
-    )
-
-
 def derivation_to_json(d: Derivation) -> dict:
-    out: dict = {"seq": proof_sequent_to_json(d.conclusion), "rule": d.rule}
+    out: dict = {"seq": d.conclusion.to_json(), "rule": d.rule}
     if d.principal is not None:
         out["principal"] = {"formula": render_formula(d.principal)}
     if d.premises:
@@ -1246,9 +1032,9 @@ def derivation_from_json(data: dict, sig: Signature) -> Derivation:
         )
     principal = None
     if "principal" in data:
-        principal = _parse_open_formula(data["principal"]["formula"], sig)
+        principal = parse_formula(data["principal"]["formula"], sig)
     return Derivation(
-        proof_sequent_from_json(data["seq"], sig),
+        Sequent.from_json(data["seq"], sig),
         data["rule"],
         tuple(premises),
         family,

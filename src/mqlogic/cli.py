@@ -33,7 +33,6 @@ from .semantics import (
     eval_formula,
     eval_succedent,
     load_valuation,
-    sequent_sound,
     value_to_json,
 )
 from .syntax import SyntaxError_, load_signature, parse_formula
@@ -77,8 +76,8 @@ def _cmd_check_sequent(args) -> int:
         print("check-sequent needs a valuation file (-v)", file=sys.stderr)
         return EXIT_USAGE
     seq = parse_sequent(args.sequent, valuation.sig, lenient=args.sig is None)
-    ant = eval_antecedent(valuation, seq.antecedent)
-    suc = eval_succedent(valuation, seq.succedent)
+    ant = eval_antecedent(valuation, seq.ant.finite)
+    suc = eval_succedent(valuation, seq.suc.finite)
     sound = ant <= suc
     print(
         json.dumps(

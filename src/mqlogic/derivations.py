@@ -18,14 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (
-    Derivation,
-    FormulaFamily,
-    ProofSequent,
-    SlotRef,
-    UniformFamily,
-)
-from .multiset import OMEGA
+from .calculus import Derivation, SlotRef, UniformFamily
+from .multiset import OMEGA, FormulaFamily, Sequent
 from .syntax import (
     App,
     Atom,
@@ -45,8 +39,8 @@ from .syntax import (
 class BuiltinDerivation:
     sig: Signature
     derivation: Derivation
-    final: ProofSequent
-    witnesses: tuple[ProofSequent, ...] = ()
+    final: Sequent
+    witnesses: tuple[Sequent, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +66,7 @@ def prop3_derivation() -> BuiltinDerivation:
     tl = Atom("T", (l,))
     ex_tl = Exists("x", tl)
     nex_tl = Neg(ex_tl)
-    mk = ProofSequent.make
+    mk = Sequent.make
 
     leaf = Derivation(mk(sig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init", principal=tl)
     fam1 = UniformFamily("n", 0, leaf)
@@ -159,7 +153,7 @@ def prop1_derivation(k: int = 8, sig: Signature | None = None) -> BuiltinDerivat
     body = fm(x)
     ex_body = Exists("x", body)
     neg_ex = Neg(ex_body)
-    mk = ProofSequent.make
+    mk = Sequent.make
 
     n = Var("n")
     succ_n = App("s", (n,))

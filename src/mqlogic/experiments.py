@@ -24,8 +24,6 @@ from typing import Optional
 from .calculus import (
     ADDITIVE,
     MULTIPLICATIVE,
-    ProofSequent,
-    SequentFamily,
     check_derivation,
     check_instance,
 )
@@ -37,7 +35,7 @@ from .fuzz import (
     fuzz_rule,
     sample_unit,
 )
-from .multiset import OMEGA
+from .multiset import OMEGA, Sequent
 from .piecewise import fixed_points, eval_parametric, piecewise_to_json
 from .semantics import (
     ONE,
@@ -181,7 +179,6 @@ def _lemma1_sample(
             low = delta_low(g_tail, c_tail)
         d_tail = ZERO
     else:
-        d_tail = max(low, Fraction(1, max_den))
         d_tail = low + (ONE - low) * _positive_unit(rng, max_den) if low < ONE else ONE
         if d_tail == 0:
             d_tail = Fraction(1, max_den)
@@ -274,7 +271,7 @@ def repro_prop1(seed: int = 0, depth: int = 8) -> ExperimentResult:
     report = check_derivation(built.derivation, built.sig, MULTIPLICATIVE, depth)
     checked = set(report.checked_sequents())
     witnesses_certified = [w.render() in checked for w in built.witnesses]
-    expected_final = ProofSequent.make(
+    expected_final = Sequent.make(
         built.sig,
         suc=[
             (Neg(Exists("x", Atom("T", (App("fm", (Var("x"), Const("mu"))),)))), 1)
@@ -343,8 +340,8 @@ def _vacuous_left_instance(policy: str) -> bool:
     sig = liar_signature()
     tl = Atom("T", (Const("l"),))
     ex = Exists("x", tl)
-    prem = ProofSequent.make(sig, ant=[(tl, 1)], suc=[(tl, 1)])
-    concl = ProofSequent.make(sig, ant=[(ex, 1)], suc=[(tl, 1)])
+    prem = Sequent.make(sig, ant=[(tl, 1)], suc=[(tl, 1)])
+    concl = Sequent.make(sig, ant=[(ex, 1)], suc=[(tl, 1)])
     return check_instance(sig, "ExistsLw", [prem], concl, policy).ok
 
 
@@ -356,7 +353,7 @@ def repro_prop3(seed: int = 0, depth: int = 4) -> ExperimentResult:
     t0 = time.monotonic()
     built, rep_mult, rep_add, add_fail_rule = _prop3_policy_runs(depth)
     sig = built.sig
-    expected_final = ProofSequent.make(
+    expected_final = Sequent.make(
         sig, suc=[(Neg(Exists("x", Atom("T", (Const("l"),)))), 1)]
     )
     final_ok = built.derivation.conclusion == expected_final
@@ -390,9 +387,9 @@ def repro_vacuous_compare(seed: int = 0, depth: int = 4) -> ExperimentResult:
     sig = liar_signature()
     tl = Atom("T", (Const("l"),))
     ex = Exists("x", tl)
-    prem_w = ProofSequent.make(sig, suc=[(tl, OMEGA)])
-    prem_1 = ProofSequent.make(sig, suc=[(tl, 1)])
-    concl = ProofSequent.make(sig, suc=[(ex, 1)])
+    prem_w = Sequent.make(sig, suc=[(tl, OMEGA)])
+    prem_1 = Sequent.make(sig, suc=[(tl, 1)])
+    concl = Sequent.make(sig, suc=[(ex, 1)])
     right_matrix = {
         "omegaCopiesMultiplicative": check_instance(
             sig, "ExistsRw", [prem_w], concl, MULTIPLICATIVE

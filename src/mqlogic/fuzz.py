@@ -14,23 +14,23 @@ the checker and every node must be sound under random sum-mode valuations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .calculus import Derivation, ProofSequent
-from .multiset import OMEGA, Multiplicity, OmegaMultiset
+from .calculus import Derivation
+from .multiset import OMEGA, Multiplicity, Sequent
 from .semantics import (
-    INFINITE,
+    FRACTIONS,
     ONE,
     SUM,
-    SUM_ZERO,
     SUP,
-    ExtendedSum,
     TailSeq,
     Valuation,
     ZERO,
     check_lemma1_instance,
+    exists_value,
+    value_sequent_sound,
 )
 from .syntax import Atom, Cond, Const, Formula, Neg, Signature
 
@@ -109,41 +109,8 @@ def sample_context(rng: random.Random, cfg: FuzzConfig) -> list[ValueEntry]:
     return out
 
 
-def context_antecedent_value(entries: list[ValueEntry]) -> Fraction:
-    acc = SUM_ZERO
-    for v, m in entries:
-        acc = acc.plus_copies(ONE - v, m)
-    return ONE - acc.clamp1()
-
-
-def context_succedent_value(entries: list[ValueEntry]) -> Fraction:
-    acc = SUM_ZERO
-    for v, m in entries:
-        acc = acc.plus_copies(v, m)
-    return acc.clamp1()
-
-
-def value_sequent_sound(ant: list[ValueEntry], suc: list[ValueEntry]) -> bool:
-    return context_antecedent_value(ant) <= context_succedent_value(suc)
-
-
 def _entries_json(entries: list[ValueEntry]) -> list[list]:
     return [[str(v), "w" if m is OMEGA else m] for v, m in entries]
-
-
-def quantifier_value(
-    explicit: list[Fraction], tail: Fraction, mode: str
-) -> Fraction:
-    """Value of the existential over an instance family: supremum or
-    clamped series."""
-    if mode == SUP:
-        return max(explicit + [tail]) if explicit else tail
-    acc = SUM_ZERO
-    for v in explicit:
-        acc = acc.plus(ExtendedSum.of(v))
-    if tail > 0:
-        acc = INFINITE
-    return acc.clamp1()
 
 
 def existsr_value_instance(
@@ -157,7 +124,7 @@ def existsr_value_instance(
     whose premise succedent carries the full instance family."""
     prem_suc = delta + [(v, 1) for v in explicit] + [(tail, OMEGA)]
     premise_sound = value_sequent_sound(gamma, prem_suc)
-    v_ex = quantifier_value(explicit, tail, mode)
+    v_ex = exists_value(explicit, tail, mode)
     conclusion_sound = value_sequent_sound(gamma, delta + [(v_ex, 1)])
     return premise_sound, conclusion_sound
 
@@ -183,7 +150,7 @@ def _sample_negl(rng, cfg) -> tuple[bool, bool, dict]:
     delta = sample_context(rng, cfg)
     a = sample_unit(rng, cfg.max_denominator)
     prem = value_sequent_sound(gamma, delta + [(a, 1)])
-    concl = value_sequent_sound(gamma + [(ONE - a, 1)], delta)
+    concl = value_sequent_sound(gamma + [(FRACTIONS.neg(a), 1)], delta)
     return prem, concl, {
         "gamma": _entries_json(gamma),
         "delta": _entries_json(delta),
@@ -196,7 +163,7 @@ def _sample_negr(rng, cfg) -> tuple[bool, bool, dict]:
     delta = sample_context(rng, cfg)
     a = sample_unit(rng, cfg.max_denominator)
     prem = value_sequent_sound(gamma + [(a, 1)], delta)
-    concl = value_sequent_sound(gamma, delta + [(ONE - a, 1)])
+    concl = value_sequent_sound(gamma, delta + [(FRACTIONS.neg(a), 1)])
     return prem, concl, {
         "gamma": _entries_json(gamma),
         "delta": _entries_json(delta),
@@ -210,7 +177,7 @@ def _sample_condr(rng, cfg) -> tuple[bool, bool, dict]:
     a = sample_unit(rng, cfg.max_denominator)
     b = sample_unit(rng, cfg.max_denominator)
     prem = value_sequent_sound(gamma + [(a, 1)], delta + [(b, 1)])
-    cond = min(ONE, ONE - a + b)
+    cond = FRACTIONS.cond(a, b)
     concl = value_sequent_sound(gamma, delta + [(cond, 1)])
     return prem, concl, {
         "gamma": _entries_json(gamma),
@@ -229,7 +196,7 @@ def _sample_condl(rng, cfg) -> tuple[bool, bool, dict]:
     b = sample_unit(rng, cfg.max_denominator)
     prem0 = value_sequent_sound(gamma, delta + [(a, 1)])
     prem1 = value_sequent_sound(gamma2 + [(b, 1)], delta2)
-    cond = min(ONE, ONE - a + b)
+    cond = FRACTIONS.cond(a, b)
     concl = value_sequent_sound(
         gamma + gamma2 + [(cond, 1)], delta + delta2
     )
@@ -286,19 +253,20 @@ def _sample_existsl(rng, cfg) -> tuple[bool, bool, dict]:
     g_tail = sample_unit(rng, cfg.max_denominator)
     c_tail = ZERO if rng.random() < 0.5 else sample_unit(rng, cfg.max_denominator)
     d_tail = delta_for(g_tail, c_tail)
-    gamma_seq = TailSeq(tuple(gammas), g_tail)
-    chi_seq = TailSeq(tuple(chis), c_tail)
-    delta_seq = TailSeq(tuple(deltas), d_tail)
-    prem = check_lemma1_instance(gamma_seq, chi_seq, delta_seq).hypothesis_all
-    v_ex = quantifier_value(list(chi_seq.explicit), chi_seq.tail, cfg.mode)
-    lhs_sum = gamma_seq.series(lambda v: ONE - v).plus(ExtendedSum.of(ONE - v_ex))
-    lhs = ONE - lhs_sum.clamp1()
-    rhs = delta_seq.series().clamp1()
-    concl = lhs <= rhs
+    prem = check_lemma1_instance(
+        TailSeq(tuple(gammas), g_tail),
+        TailSeq(tuple(chis), c_tail),
+        TailSeq(tuple(deltas), d_tail),
+    ).hypothesis_all
+    v_ex = exists_value(chis, c_tail, cfg.mode)
+    concl = value_sequent_sound(
+        [(g, 1) for g in gammas] + [(g_tail, OMEGA), (v_ex, 1)],
+        [(d, 1) for d in deltas] + [(d_tail, OMEGA)],
+    )
     return prem, concl, {
-        "gamma": [str(v) for v in gamma_seq.explicit] + [f"tail {g_tail}"],
-        "chi": [str(v) for v in chi_seq.explicit] + [f"tail {c_tail}"],
-        "delta": [str(v) for v in delta_seq.explicit] + [f"tail {d_tail}"],
+        "gamma": [str(v) for v in gammas] + [f"tail {g_tail}"],
+        "chi": [str(v) for v in chis] + [f"tail {c_tail}"],
+        "delta": [str(v) for v in deltas] + [f"tail {d_tail}"],
     }
 
 
@@ -378,7 +346,7 @@ def generate_derivation(
         ant = _sample_side(rng, sig, 2) + [(shared, 1)]
         suc = _sample_side(rng, sig, 2) + [(shared, 1)]
         return Derivation(
-            ProofSequent.make(sig, ant=ant, suc=suc), "Init", principal=shared
+            Sequent.make(sig, ant=ant, suc=suc), "Init", principal=shared
         )
 
     if depth <= 0:
@@ -396,7 +364,7 @@ def generate_derivation(
         a = rng.choice(suc0)
         b = rng.choice(ant1)
         cond = Cond(a, b)
-        concl = ProofSequent(
+        concl = Sequent(
             p0.conclusion.ant.union(
                 p1.conclusion.ant.with_removed_one(b)
             ).with_added(cond),
@@ -408,14 +376,14 @@ def generate_derivation(
     csuc = child.conclusion.suc.finite.support()
     if rule == "NegL" and csuc:
         a = rng.choice(csuc)
-        concl = ProofSequent(
+        concl = Sequent(
             child.conclusion.ant.with_added(Neg(a)),
             child.conclusion.suc.with_removed_one(a),
         )
         return Derivation(concl, "NegL", (child,), principal=Neg(a))
     if rule == "NegR" and cant:
         a = rng.choice(cant)
-        concl = ProofSequent(
+        concl = Sequent(
             child.conclusion.ant.with_removed_one(a),
             child.conclusion.suc.with_added(Neg(a)),
         )
@@ -423,7 +391,7 @@ def generate_derivation(
     if rule == "CondR" and cant and csuc:
         a = rng.choice(cant)
         b = rng.choice(csuc)
-        concl = ProofSequent(
+        concl = Sequent(
             child.conclusion.ant.with_removed_one(a),
             child.conclusion.suc.with_removed_one(b).with_added(Cond(a, b)),
         )
@@ -431,7 +399,7 @@ def generate_derivation(
     return init_leaf()
 
 
-def all_conclusions(d: Derivation) -> list[ProofSequent]:
+def all_conclusions(d: Derivation) -> list[Sequent]:
     out = [d.conclusion]
     for p in d.premises:
         if isinstance(p, Derivation):

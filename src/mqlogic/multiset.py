@@ -3,19 +3,22 @@
 Multiplicities are positive integers or the absorbing value OMEGA; absent
 formulas have multiplicity zero.  Formulas are stored and compared in
 normalised form (coding equations applied to all maximal closed subterms),
-so provably-equal instances collapse to one entry.
+so provably-equal instances collapse to one entry.  Inside derivations a
+sequent side may also carry omega-indexed formula families.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .syntax import (
     Formula,
     ParseError,
     Signature,
+    Term,
+    Var,
+    _subst,
     free_vars,
     normalize_formula,
     parse_formula,
@@ -116,10 +119,6 @@ class OmegaMultiset:
     def is_empty(self) -> bool:
         return not self._entries
 
-    def total_finite(self) -> int:
-        """Sum of the finite multiplicities (omega entries excluded)."""
-        return sum(m for m in self._entries.values() if m is not OMEGA)
-
     def copy(self) -> "OmegaMultiset":
         out = OmegaMultiset(self.sig)
         out._entries = dict(self._entries)
@@ -175,78 +174,198 @@ class OmegaMultiset:
         return "{" + inner + "}"
 
 
-def union(a: OmegaMultiset, b: OmegaMultiset) -> OmegaMultiset:
-    """Pointwise multiplicity addition; omega absorbs."""
-    return a.union(b)
+# ---------------------------------------------------------------------------
+# Sequents with omega-indexed formula families
 
 
 @dataclass(frozen=True)
-class IndexedFamily:
-    """Eventually-uniform omega-indexed family of multisets: explicit
-    members for the first indices, one tail multiset for all the rest."""
+class FormulaFamily:
+    """One formula per natural-number slot >= start, given by a template
+    over the index variable (which occurs only inside terms)."""
 
-    explicit: tuple[OmegaMultiset, ...]
-    tail: OmegaMultiset
+    var: str
+    start: int
+    template: Formula
+
+    def at(self, rep: Term) -> Formula:
+        return _subst(self.template, self.var, rep)
 
 
-def omega_union(family: IndexedFamily) -> OmegaMultiset:
-    """Union over all omega indices of an eventually-uniform family.
+def _family_key(sig: Signature, fam: FormulaFamily):
+    canon = normalize_formula(_subst(fam.template, fam.var, Var("#i")), sig)
+    return (fam.start, render_formula(canon))
 
-    Explicit members contribute finite sums; any formula in the tail with
-    positive multiplicity recurs at omega-many indices and so lands at OMEGA.
-    """
-    sig = family.tail.sig
-    out = OmegaMultiset(sig)
-    for m in family.explicit:
-        out = out.union(m)
-    for f, _ in family.tail.items():
-        out = out.union(OmegaMultiset(sig, [(f, OMEGA)]))
-    return out
+
+class SequentSide:
+    """A finite omega-multiset part plus omega-indexed formula families."""
+
+    __slots__ = ("finite", "families")
+
+    def __init__(
+        self,
+        finite: OmegaMultiset,
+        families: Sequence[FormulaFamily] = (),
+    ) -> None:
+        self.finite = finite
+        indexed: list[FormulaFamily] = []
+        for fam in families:
+            if fam.var in free_vars(fam.template):
+                indexed.append(fam)
+                continue
+            # degenerate family: the same sentence at every slot; it folds
+            # into a copy so the caller's multiset is left unchanged
+            if self.finite is finite:
+                self.finite = finite.copy()
+            self.finite.add(fam.template, OMEGA)
+        self.families = tuple(
+            sorted(indexed, key=lambda f: _family_key(finite.sig, f))
+        )
+
+    @property
+    def sig(self) -> Signature:
+        return self.finite.sig
+
+    def copy(self) -> "SequentSide":
+        return SequentSide(self.finite.copy(), self.families)
+
+    def with_added(self, f: Formula, m: Multiplicity = 1) -> "SequentSide":
+        out = self.finite.copy()
+        out.add(f, m, allow_open=True)
+        return SequentSide(out, self.families)
+
+    def with_removed_one(self, f: Formula) -> "SequentSide":
+        return SequentSide(self.finite.remove_one(f), self.families)
+
+    def union(self, other: "SequentSide") -> "SequentSide":
+        return SequentSide(
+            self.finite.union(other.finite), self.families + other.families
+        )
+
+    def minus(self, other: "SequentSide") -> "SequentSide":
+        """Remove the other side (context subtraction); raises ValueError
+        when something is missing."""
+        finite = self.finite.minus(other.finite)
+        fams = list(self.families)
+        for fam in other.families:
+            key = _family_key(self.sig, fam)
+            for i, mine in enumerate(fams):
+                if _family_key(self.sig, mine) == key:
+                    del fams[i]
+                    break
+            else:
+                raise ValueError(
+                    f"family not present: {render_formula(fam.template)}"
+                )
+        return SequentSide(finite, tuple(fams))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequentSide):
+            return NotImplemented
+        if self.finite != other.finite:
+            return False
+        mine = [_family_key(self.sig, f) for f in self.families]
+        theirs = [_family_key(other.sig, f) for f in other.families]
+        return mine == theirs
+
+    def render(self) -> str:
+        parts: list[str] = []
+        for f, m in self.finite.items():
+            text = render_formula(f)
+            if m is OMEGA:
+                parts.append(f"{text}^w")
+            elif m == 1:
+                parts.append(text)
+            else:
+                parts.append(f"{text}^{m}")
+        for fam in self.families:
+            parts.append(
+                f"{render_formula(fam.template)}[{fam.var}>={fam.start}]"
+            )
+        return ", ".join(parts)
+
+    def _to_json(self) -> tuple[list, list]:
+        finite = [
+            [render_formula(f), "w" if m is OMEGA else m]
+            for f, m in self.finite.items()
+        ]
+        fams = [
+            {"var": f.var, "start": f.start, "formula": render_formula(f.template)}
+            for f in self.families
+        ]
+        return finite, fams
+
+    @staticmethod
+    def _from_json(entries: list, fams: list, sig: Signature) -> "SequentSide":
+        ms = OmegaMultiset(sig)
+        for formula_text, m in entries:
+            ms.add(
+                parse_formula(formula_text, sig),
+                OMEGA if m == "w" else int(m),
+                allow_open=True,
+            )
+        families = [
+            FormulaFamily(f["var"], int(f["start"]), parse_formula(f["formula"], sig))
+            for f in fams
+        ]
+        return SequentSide(ms, families)
 
 
 class Sequent:
-    """A pair of omega-multisets of sentences."""
+    """A pair of sequent sides.  Derivations use the families; a plain
+    sequent (as parsed from text or evaluated) has none."""
 
-    __slots__ = ("antecedent", "succedent")
+    __slots__ = ("ant", "suc")
 
-    def __init__(self, antecedent: OmegaMultiset, succedent: OmegaMultiset) -> None:
-        self.antecedent = antecedent
-        self.succedent = succedent
+    def __init__(self, ant: SequentSide, suc: SequentSide) -> None:
+        self.ant = ant
+        self.suc = suc
 
     @staticmethod
     def make(
         sig: Signature,
-        ant: Iterable[tuple[Formula, Multiplicity]] = (),
-        suc: Iterable[tuple[Formula, Multiplicity]] = (),
+        ant: Sequence[tuple[Formula, Multiplicity]] = (),
+        suc: Sequence[tuple[Formula, Multiplicity]] = (),
+        ant_families: Sequence[FormulaFamily] = (),
+        suc_families: Sequence[FormulaFamily] = (),
     ) -> "Sequent":
-        return Sequent(OmegaMultiset(sig, ant), OmegaMultiset(sig, suc))
+        return Sequent(
+            SequentSide(OmegaMultiset(sig, ant, allow_open=True), ant_families),
+            SequentSide(OmegaMultiset(sig, suc, allow_open=True), suc_families),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequent):
             return NotImplemented
-        return self.antecedent == other.antecedent and self.succedent == other.succedent
+        return self.ant == other.ant and self.suc == other.suc
+
+    def render(self) -> str:
+        return f"{self.ant.render()} |- {self.suc.render()}"
 
     def __repr__(self) -> str:
-        return f"{self.antecedent!r} |- {self.succedent!r}"
+        return f"<{self.render()}>"
+
+    def to_json(self) -> dict:
+        """``{"ant": [[formula, n | "w"], ...], "suc": [...]}`` plus
+        ``antFams``/``sucFams`` lists when a side carries families."""
+        ant, ant_fams = self.ant._to_json()
+        suc, suc_fams = self.suc._to_json()
+        out: dict = {"ant": ant, "suc": suc}
+        if ant_fams:
+            out["antFams"] = ant_fams
+        if suc_fams:
+            out["sucFams"] = suc_fams
+        return out
+
+    @staticmethod
+    def from_json(data: dict, sig: Signature) -> "Sequent":
+        return Sequent(
+            SequentSide._from_json(data.get("ant", []), data.get("antFams", []), sig),
+            SequentSide._from_json(data.get("suc", []), data.get("sucFams", []), sig),
+        )
 
 
 # ---------------------------------------------------------------------------
-# Text and JSON forms
-
-
-def _render_side(ms: OmegaMultiset) -> str:
-    parts: list[str] = []
-    for f, m in ms.items():
-        text = render_formula(f)
-        if m is OMEGA:
-            parts.append(f"{text}^w")
-        else:
-            parts.extend([text] * m)
-    return ", ".join(parts)
-
-
-def render_sequent(s: Sequent) -> str:
-    return f"{_render_side(s.antecedent)} |- {_render_side(s.succedent)}".strip()
+# Text form
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -293,33 +412,6 @@ def parse_sequent(text: str, sig: Signature, lenient: bool = False) -> Sequent:
         raise ParseError("sequent needs '|-'", 0)
     ant_text, _, suc_text = text.partition("|-")
     return Sequent(
-        _parse_side(ant_text, sig, lenient), _parse_side(suc_text, sig, lenient)
+        SequentSide(_parse_side(ant_text, sig, lenient)),
+        SequentSide(_parse_side(suc_text, sig, lenient)),
     )
-
-
-def _side_json(ms: OmegaMultiset) -> list[list]:
-    return [
-        [render_formula(f), "w" if m is OMEGA else m] for f, m in ms.items()
-    ]
-
-
-def sequent_to_json(s: Sequent) -> dict:
-    return {"ant": _side_json(s.antecedent), "suc": _side_json(s.succedent)}
-
-
-def _side_from_json(data: list, sig: Signature) -> OmegaMultiset:
-    ms = OmegaMultiset(sig)
-    for formula_text, m in data:
-        ms.add(parse_formula(formula_text, sig), OMEGA if m == "w" else int(m))
-    return ms
-
-
-def sequent_from_json(data: dict, sig: Signature) -> Sequent:
-    return Sequent(
-        _side_from_json(data.get("ant", []), sig),
-        _side_from_json(data.get("suc", []), sig),
-    )
-
-
-def dumps_sequent(s: Sequent) -> str:
-    return json.dumps(sequent_to_json(s))

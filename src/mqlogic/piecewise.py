@@ -16,24 +16,12 @@ from .semantics import (
     ONE,
     SUM,
     SemanticsError,
-    UngroundedError,
     Valuation,
+    ValueAlgebra,
     ZERO,
-    _EvalState,
-    _relevant_terms,
+    evaluate,
 )
-from .syntax import (
-    Atom,
-    Cond,
-    Exists,
-    Formula,
-    Neg,
-    free_vars,
-    normalize_formula,
-    render_formula,
-    substitute,
-)
-from .semantics import _TAIL_CONST
+from .syntax import Formula
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,9 +49,6 @@ class Interval:
         if v == self.hi and not self.closed_hi:
             return False
         return True
-
-    def interior_or_boundary_point(self, v: Fraction) -> bool:
-        return self.contains(v)
 
     def __str__(self) -> str:
         lb = "[" if self.closed_lo else "("
@@ -160,53 +145,34 @@ def add(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
     return _merge(PiecewiseLinear(pieces))
 
 
-def _split_on_threshold(
-    piece: Piece, threshold: Fraction, keep_if_below: bool
-) -> list[Piece]:
-    """Replace the region of a piece beyond a threshold with a constant.
-
-    keep_if_below=True clamps values above the threshold down to it;
-    False clamps values below it up to it.
-    """
+def _clamp_piece(piece: Piece) -> list[Piece]:
+    """Replace the region of a piece where it exceeds 1 with the constant 1."""
     iv, a, b = piece.interval, piece.a, piece.b
     if a == 0:
-        beyond = b > threshold if keep_if_below else b < threshold
-        return [Piece(iv, ZERO, threshold)] if beyond else [piece]
-    r = (threshold - b) / a
-    lo_val = piece.value_at(iv.lo)
-    hi_val = piece.value_at(iv.hi)
-    if keep_if_below:
-        lo_ok, hi_ok = lo_val <= threshold, hi_val <= threshold
-    else:
-        lo_ok, hi_ok = lo_val >= threshold, hi_val >= threshold
+        return [Piece(iv, ZERO, ONE)] if b > ONE else [piece]
+    r = (ONE - b) / a
+    lo_ok = piece.value_at(iv.lo) <= ONE
+    hi_ok = piece.value_at(iv.hi) <= ONE
     if lo_ok and hi_ok:
         return [piece]
     if not lo_ok and not hi_ok:
-        return [Piece(iv, ZERO, threshold)]
+        return [Piece(iv, ZERO, ONE)]
     # crossing point r is interior (or at an endpoint with the other side
-    # strictly beyond); the affine side keeps r, where the value equals the
-    # threshold exactly.
+    # strictly above); the affine side keeps r, where the value is exactly 1.
     left = intersect(iv, Interval(ZERO, r, True, True))
     right = intersect(iv, Interval(r, ONE, False, True))
     out: list[Piece] = []
     if left is not None:
-        out.append(Piece(left, a, b) if lo_ok else Piece(left, ZERO, threshold))
+        out.append(Piece(left, a, b) if lo_ok else Piece(left, ZERO, ONE))
     if right is not None:
-        out.append(Piece(right, a, b) if hi_ok else Piece(right, ZERO, threshold))
+        out.append(Piece(right, a, b) if hi_ok else Piece(right, ZERO, ONE))
     return out
 
 
 def clamp_upper(f: PiecewiseLinear) -> PiecewiseLinear:
     pieces: list[Piece] = []
     for p in f.pieces:
-        pieces.extend(_split_on_threshold(p, ONE, keep_if_below=True))
-    return _merge(PiecewiseLinear(pieces))
-
-
-def clamp_lower(f: PiecewiseLinear) -> PiecewiseLinear:
-    pieces: list[Piece] = []
-    for p in f.pieces:
-        pieces.extend(_split_on_threshold(p, ZERO, keep_if_below=False))
+        pieces.extend(_clamp_piece(p))
     return _merge(PiecewiseLinear(pieces))
 
 
@@ -298,7 +264,7 @@ def _exists_sum(
             if tp.b > 0:
                 pieces.append(Piece(interval, ZERO, ONE))
             else:
-                pieces.extend(_split_on_threshold(finite, ONE, keep_if_below=True))
+                pieces.extend(_clamp_piece(finite))
             continue
         root = -tp.b / tp.a
         covered = False
@@ -326,45 +292,13 @@ def _exists_sum(
 # Parametric evaluation
 
 
-def _peval(valuation: Valuation, f: Formula, state: _EvalState) -> PiecewiseLinear:
-    sig = valuation.sig
-    if isinstance(f, Atom):
-        key = normalize_formula(f, sig)
-        if key == valuation.unknown:
-            return PiecewiseLinear.identity()
-        if valuation.transparent and f.pred == "T" and f.args:
-            named = sig.named_formula(f.args[0])
-            if named is not None:
-                if state.unfolds_left <= 0:
-                    raise UngroundedError(
-                        f"transparent unfolding exhausted at {render_formula(f)}"
-                    )
-                state.unfolds_left -= 1
-                return _peval(valuation, named, state)
-        if key in valuation.atom_values:
-            return PiecewiseLinear.constant(valuation.atom_values[key])
-        return PiecewiseLinear.constant(valuation.default_of(f.pred))
-    if isinstance(f, Neg):
-        return one_minus(_peval(valuation, f.body, state))
-    if isinstance(f, Cond):
-        a = _peval(valuation, f.lhs, state)
-        b = _peval(valuation, f.rhs, state)
-        return clamp_upper(add(one_minus(a), b))
-    if isinstance(f, Exists):
-        body, var = f.body, f.var
-        if free_vars(body) - {var}:
-            raise SemanticsError(
-                f"instance family needs at most one free variable: {render_formula(body)}"
-            )
-        explicit = []
-        bound = var in free_vars(body)
-        for t in _relevant_terms(valuation, body):
-            inst = substitute(body, var, t) if bound else body
-            explicit.append(_peval(valuation, inst, state))
-        tail_inst = substitute(body, var, _TAIL_CONST) if bound else body
-        tail = _peval(valuation, tail_inst, state)
-        return _exists_sum(explicit, tail)
-    raise TypeError(f"not a formula: {f!r}")
+PIECEWISE = ValueAlgebra(
+    constant=PiecewiseLinear.constant,
+    unknown=PiecewiseLinear.identity,
+    neg=one_minus,
+    cond=lambda a, b: clamp_upper(add(one_minus(a), b)),
+    exists=lambda explicit, tail, mode: _exists_sum(explicit, tail),
+)
 
 
 def eval_parametric(valuation: Valuation, f: Formula) -> PiecewiseLinear:
@@ -379,9 +313,7 @@ def eval_parametric(valuation: Valuation, f: Formula) -> PiecewiseLinear:
         raise SemanticsError("parametric evaluation needs a designated unknown atom")
     if valuation.mode != SUM:
         raise SemanticsError("parametric evaluation requires sum-quantifier mode")
-    if free_vars(f):
-        raise SemanticsError(f"not a sentence: {render_formula(f)}")
-    return _peval(valuation, f, _EvalState(valuation.unfold_budget))
+    return evaluate(valuation, f, PIECEWISE)
 
 
 # ---------------------------------------------------------------------------

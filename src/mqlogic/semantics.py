@@ -6,15 +6,20 @@ two modes: ``sup`` takes the supremum over the closed-term instances and
 the (countably infinite) closed-term enumeration is represented exactly as
 a finite explicit part plus a constant tail, so series either reduce to a
 finite sum or diverge and clamp to 1.
+
+Each clause is written once, in a formula walker over a small value
+algebra: ``eval_formula`` runs it over exact rationals and
+``piecewise.eval_parametric`` over piecewise-affine functions of one
+unknown atom value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from .multiset import OMEGA, OmegaMultiset, Sequent
+from .multiset import OMEGA, Multiplicity, OmegaMultiset, Sequent
 from .syntax import (
     Atom,
     Cond,
@@ -108,27 +113,6 @@ def extended_sum(values: Iterable[Fraction]) -> ExtendedSum:
     for v in values:
         acc = acc.plus(ExtendedSum.of(v))
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Strong/weak connective value tables (helper evaluators; the language has
-# no connective syntax for them)
-
-
-def strong_disjunction(a: Fraction, b: Fraction) -> Fraction:
-    return min(ONE, a + b)
-
-
-def strong_conjunction(a: Fraction, b: Fraction) -> Fraction:
-    return max(ZERO, a + b - 1)
-
-
-def weak_disjunction(a: Fraction, b: Fraction) -> Fraction:
-    return max(a, b)
-
-
-def weak_conjunction(a: Fraction, b: Fraction) -> Fraction:
-    return min(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +220,53 @@ def _relevant_terms(valuation: Valuation, body: Formula) -> list[Term]:
     return out
 
 
-def _eval(valuation: Valuation, f: Formula, state: _EvalState) -> Fraction:
+# ---------------------------------------------------------------------------
+# The semantic clauses, written once over a value algebra
+
+
+def exists_value(explicit: list[Fraction], tail: Fraction, mode: str) -> Fraction:
+    """The existential over an instance family (explicit values plus the
+    common value of every other instance): the supremum, or the clamped
+    series, which diverges as soon as the tail is positive."""
+    if mode == SUP:
+        return max(explicit + [tail]) if explicit else tail
+    if tail > 0:
+        return ONE
+    return extended_sum(explicit).clamp1()
+
+
+def _no_unknown() -> Fraction:
+    raise SemanticsError("atom has a symbolic value; use parametric evaluation")
+
+
+@dataclass(frozen=True)
+class ValueAlgebra:
+    """What the formula walker needs from a value domain: atom values
+    lifted from rationals, the designated unknown atom, and the clauses
+    for negation, the conditional and the existential."""
+
+    constant: Callable[[Fraction], Any]
+    unknown: Callable[[], Any]
+    neg: Callable[[Any], Any]
+    cond: Callable[[Any, Any], Any]
+    exists: Callable[[list, Any, str], Any]
+
+
+FRACTIONS = ValueAlgebra(
+    constant=lambda q: q,
+    unknown=_no_unknown,
+    neg=lambda a: ONE - a,
+    cond=lambda a, b: min(ONE, ONE - a + b),
+    exists=exists_value,
+)
+
+
+def _walk(alg: ValueAlgebra, valuation: Valuation, f: Formula, state: _EvalState):
     sig = valuation.sig
     if isinstance(f, Atom):
         key = normalize_formula(f, sig)
         if valuation.unknown is not None and key == valuation.unknown:
-            raise SemanticsError(
-                "atom has a symbolic value; use parametric evaluation"
-            )
+            return alg.unknown()
         if valuation.transparent and f.pred == "T" and f.args:
             named = sig.named_formula(f.args[0])
             if named is not None:
@@ -252,55 +275,51 @@ def _eval(valuation: Valuation, f: Formula, state: _EvalState) -> Fraction:
                         f"transparent unfolding exhausted at {render_formula(f)}"
                     )
                 state.unfolds_left -= 1
-                return _eval(valuation, named, state)
+                return _walk(alg, valuation, named, state)
         if key in valuation.atom_values:
-            return valuation.atom_values[key]
-        return valuation.default_of(f.pred)
+            return alg.constant(valuation.atom_values[key])
+        return alg.constant(valuation.default_of(f.pred))
     if isinstance(f, Neg):
-        return ONE - _eval(valuation, f.body, state)
+        return alg.neg(_walk(alg, valuation, f.body, state))
     if isinstance(f, Cond):
-        a = _eval(valuation, f.lhs, state)
-        b = _eval(valuation, f.rhs, state)
-        return min(ONE, ONE - a + b)
+        a = _walk(alg, valuation, f.lhs, state)
+        return alg.cond(a, _walk(alg, valuation, f.rhs, state))
     if isinstance(f, Exists):
-        explicit, tail = _instance_values(valuation, f.body, f.var, state)
-        values = [v for _, v in explicit]
-        if valuation.mode == SUP:
-            return max(values + [tail]) if values else tail
-        total = extended_sum(values)
-        if tail > 0:
-            total = INFINITE
-        return total.clamp1()
+        explicit, tail = _instances(alg, valuation, f.body, f.var, state)
+        return alg.exists([v for _, v in explicit], tail, valuation.mode)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _instance_values(
-    valuation: Valuation, body: Formula, var: str, state: _EvalState
-) -> tuple[list[tuple[Term, Fraction]], Fraction]:
+def _instances(
+    alg: ValueAlgebra, valuation: Valuation, body: Formula, var: str, state: _EvalState
+) -> tuple[list[tuple[Term, Any]], Any]:
     if free_vars(body) - {var}:
         raise OpenFormulaError(
             f"instance family needs at most one free variable: {render_formula(body)}"
         )
-    explicit: list[tuple[Term, Fraction]] = []
+    bound = var in free_vars(body)
+    explicit = []
     for t in _relevant_terms(valuation, body):
-        inst = substitute(body, var, t) if var in free_vars(body) else body
-        explicit.append((t, _eval(valuation, inst, state)))
-    tail_inst = (
-        substitute(body, var, _TAIL_CONST) if var in free_vars(body) else body
-    )
-    tail = _eval(valuation, tail_inst, state)
-    return explicit, tail
+        inst = substitute(body, var, t) if bound else body
+        explicit.append((t, _walk(alg, valuation, inst, state)))
+    tail_inst = substitute(body, var, _TAIL_CONST) if bound else body
+    return explicit, _walk(alg, valuation, tail_inst, state)
 
 
-def eval_formula(valuation: Valuation, f: Formula) -> Fraction:
-    """Exact value of a sentence under the valuation.
+def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
+    """Value of a sentence in the algebra's domain.
 
     Raises OpenFormulaError on free variables and UngroundedError when
     transparent unfolding cycles past its budget.
     """
     if free_vars(f):
         raise OpenFormulaError(f"not a sentence: {render_formula(f)}")
-    return unit(_eval(valuation, f, _EvalState(valuation.unfold_budget)))
+    return _walk(alg, valuation, f, _EvalState(valuation.unfold_budget))
+
+
+def eval_formula(valuation: Valuation, f: Formula) -> Fraction:
+    """Exact value of a sentence under the valuation."""
+    return unit(evaluate(valuation, f, FRACTIONS))
 
 
 def instance_values(
@@ -311,20 +330,36 @@ def instance_values(
     Returns the explicit part (one entry per relevant term, deduplicated
     by normal form) and the common value of every other instance.
     """
-    return _instance_values(valuation, f, var, _EvalState(valuation.unfold_budget))
+    return _instances(
+        FRACTIONS, valuation, f, var, _EvalState(valuation.unfold_budget)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Sequent evaluation
 
 
-def _side_sum(valuation: Valuation, ms: OmegaMultiset, negate: bool) -> ExtendedSum:
+def side_sum(
+    entries: Iterable[tuple[Fraction, Multiplicity]], negate: bool = False
+) -> Fraction:
+    """min(1, sum of the values, or of 1 - value with ``negate``), copies
+    counted.  Omega copies of a positive term diverge and clamp to 1."""
     acc = SUM_ZERO
-    for f, m in ms.items():
-        v = eval_formula(valuation, f)
-        contrib = ONE - v if negate else v
-        acc = acc.plus_copies(contrib, m)
-    return acc
+    for v, m in entries:
+        acc = acc.plus_copies(ONE - v if negate else v, m)
+    return acc.clamp1()
+
+
+def value_sequent_sound(
+    ant: Iterable[tuple[Fraction, Multiplicity]],
+    suc: Iterable[tuple[Fraction, Multiplicity]],
+) -> bool:
+    """Soundness over member values: 1 - side_sum(ant, negate) <= side_sum(suc)."""
+    return ONE - side_sum(ant, negate=True) <= side_sum(suc)
+
+
+def _side_values(valuation: Valuation, ms: OmegaMultiset):
+    return [(eval_formula(valuation, f), m) for f, m in ms.items()]
 
 
 def eval_antecedent(valuation: Valuation, gamma: OmegaMultiset) -> Fraction:
@@ -333,18 +368,20 @@ def eval_antecedent(valuation: Valuation, gamma: OmegaMultiset) -> Fraction:
     An omega-multiplicity formula below value 1 makes the inner series
     diverge (result 0); at value exactly 1 it contributes nothing.
     """
-    return ONE - _side_sum(valuation, gamma, negate=True).clamp1()
+    return ONE - side_sum(_side_values(valuation, gamma), negate=True)
 
 
 def eval_succedent(valuation: Valuation, delta: OmegaMultiset) -> Fraction:
     """min(1, sum of values over the succedent, copies counted)."""
-    return _side_sum(valuation, delta, negate=False).clamp1()
+    return side_sum(_side_values(valuation, delta))
 
 
 def sequent_sound(valuation: Valuation, s: Sequent) -> bool:
     """Whether antecedent value <= succedent value under the valuation."""
-    return eval_antecedent(valuation, s.antecedent) <= eval_succedent(
-        valuation, s.succedent
+    if s.ant.families or s.suc.families:
+        raise SemanticsError("sequent carries omega-indexed families")
+    return value_sequent_sound(
+        _side_values(valuation, s.ant.finite), _side_values(valuation, s.suc.finite)
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 
@@ -178,10 +178,6 @@ def free_vars(f: Formula) -> set[str]:
     if isinstance(f, Exists):
         return free_vars(f.body) - {f.var}
     raise TypeError(f"not a formula: {f!r}")
-
-
-def is_sentence(f: Formula) -> bool:
-    return not free_vars(f)
 
 
 def substitute_term(t: Term, x: str, s: Term) -> Term:
@@ -463,12 +459,6 @@ class Signature:
         rule = RewriteRule(lhs, rhs, label)
         validate_rule(self, rule)
         self.rewrites.append(rule)
-
-    def has_rewrite_rooted(self, fn: str) -> bool:
-        for r in self.rewrites:
-            if isinstance(r.lhs, App) and r.lhs.fn == fn:
-                return True
-        return False
 
     # -- normalisation (delegates, kept here for convenience) --------------
 

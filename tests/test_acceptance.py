@@ -12,7 +12,6 @@ from fractions import Fraction as F
 from mqlogic.calculus import (
     ADDITIVE,
     MULTIPLICATIVE,
-    ProofSequent,
     check_derivation,
     check_instance,
 )
@@ -22,9 +21,9 @@ from mqlogic.fuzz import (
     RULE_CHOICES,
     existsr_value_instance,
     fuzz_rule,
-    quantifier_value,
     sample_unit,
 )
+from mqlogic.multiset import Sequent as ProofSequent
 from mqlogic.experiments import _lemma1_sample
 from mqlogic.piecewise import eval_parametric, fixed_points, piecewise_to_json
 from mqlogic.semantics import (
@@ -33,6 +32,7 @@ from mqlogic.semantics import (
     Valuation,
     check_lemma1_instance,
     eval_formula,
+    exists_value as quantifier_value,
     instance_values,
     lemma1_conclusion_finite_oracle,
 )

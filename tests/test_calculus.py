@@ -7,8 +7,6 @@ from mqlogic.calculus import (
     MULTIPLICATIVE,
     CheckError,
     Derivation,
-    FormulaFamily,
-    ProofSequent,
     SequentFamily,
     UniformFamily,
     check_derivation,
@@ -22,7 +20,7 @@ from mqlogic.derivations import (
     prop3_derivation,
     truth_coding_signature,
 )
-from mqlogic.multiset import OMEGA
+from mqlogic.multiset import OMEGA, FormulaFamily, Sequent
 from mqlogic.syntax import (
     App,
     Atom,
@@ -49,30 +47,30 @@ class TestPropositionalRules:
     def test_single_init_node(self, lsig):
         tl = _tl(lsig)
         d = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
         )
         assert check_derivation(d, lsig).ok
 
     def test_init_requires_shared_formula(self, lsig):
         tl = _tl(lsig)
         d = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(Neg(tl), 1)]), "Init"
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(Neg(tl), 1)]), "Init"
         )
         assert not check_derivation(d, lsig).ok
 
     def test_neg_rules(self, lsig):
         tl = _tl(lsig)
         leaf = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
         )
         negl = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1), (Neg(tl), 1)]),
+            Sequent.make(lsig, ant=[(tl, 1), (Neg(tl), 1)]),
             "NegL",
             (leaf,),
         )
         assert check_derivation(negl, lsig).ok
         negr = Derivation(
-            ProofSequent.make(lsig, suc=[(tl, 1), (Neg(tl), 1)]),
+            Sequent.make(lsig, suc=[(tl, 1), (Neg(tl), 1)]),
             "NegR",
             (leaf,),
         )
@@ -81,10 +79,10 @@ class TestPropositionalRules:
     def test_cond_right(self, lsig):
         tl = _tl(lsig)
         leaf = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
         )
         condr = Derivation(
-            ProofSequent.make(lsig, suc=[(Cond(tl, tl), 1)]), "CondR", (leaf,)
+            Sequent.make(lsig, suc=[(Cond(tl, tl), 1)]), "CondR", (leaf,)
         )
         assert check_derivation(condr, lsig).ok
 
@@ -92,13 +90,13 @@ class TestPropositionalRules:
         tl = _tl(lsig)
         ntl = Neg(tl)
         p0 = Derivation(
-            ProofSequent.make(lsig, ant=[(ntl, 1)], suc=[(tl, 1), (ntl, 1)]),
+            Sequent.make(lsig, ant=[(ntl, 1)], suc=[(tl, 1), (ntl, 1)]),
             "Init",
         )
         p1 = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 2)], suc=[(tl, 1)]), "Init"
+            Sequent.make(lsig, ant=[(tl, 2)], suc=[(tl, 1)]), "Init"
         )
-        concl = ProofSequent.make(
+        concl = Sequent.make(
             lsig,
             ant=[(Cond(tl, tl), 1), (ntl, 1), (tl, 1)],
             suc=[(ntl, 1), (tl, 1)],
@@ -109,10 +107,10 @@ class TestPropositionalRules:
     def test_wrong_premise_rejected(self, lsig):
         tl = _tl(lsig)
         leaf = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
         )
         bad = Derivation(
-            ProofSequent.make(lsig, ant=[(Neg(tl), 1)]), "NegL", (leaf,)
+            Sequent.make(lsig, ant=[(Neg(tl), 1)]), "NegL", (leaf,)
         )
         report = check_derivation(bad, lsig)
         assert not report.ok
@@ -124,16 +122,16 @@ class TestTruthRules:
         tl = _tl(lsig)
         nex = Neg(Exists("x", tl))
         leaf = Derivation(
-            ProofSequent.make(lsig, ant=[(nex, 1)], suc=[(nex, 1)]), "Init"
+            Sequent.make(lsig, ant=[(nex, 1)], suc=[(nex, 1)]), "Init"
         )
         tr = Derivation(
-            ProofSequent.make(lsig, ant=[(nex, 1)], suc=[(tl, 1)]),
+            Sequent.make(lsig, ant=[(nex, 1)], suc=[(tl, 1)]),
             "TR",
             (leaf,),
         )
         assert check_derivation(tr, lsig).ok
         tl_node = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(nex, 1)]),
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(nex, 1)]),
             "TL",
             (leaf,),
         )
@@ -144,10 +142,10 @@ class TestTruthRules:
         sig.add_constant("c")
         tc = Atom("T", (Const("c"),))
         leaf = Derivation(
-            ProofSequent.make(sig, ant=[(tc, 1)], suc=[(tc, 1)]), "Init"
+            Sequent.make(sig, ant=[(tc, 1)], suc=[(tc, 1)]), "Init"
         )
         node = Derivation(
-            ProofSequent.make(sig, ant=[(tc, 1)], suc=[(tc, 1)]), "TR", (leaf,)
+            Sequent.make(sig, ant=[(tc, 1)], suc=[(tc, 1)]), "TR", (leaf,)
         )
         report = check_derivation(node, sig)
         assert not report.ok
@@ -158,10 +156,10 @@ class TestTruthRules:
         lsig.add_constant("c")
         tc = Atom("T", (Const("c"),))
         leaf = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
         )
         node = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tc, 1)]),
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(tc, 1)]),
             "TR",
             (leaf,),
             principal=tc,
@@ -177,10 +175,10 @@ class TestTruthRules:
         def fmT(t):
             return Atom("T", (App("fm", (t, mu)),))
 
-        prem = ProofSequent.make(
+        prem = Sequent.make(
             sig, ant=[(fmT(Numeral(0)), 1)], suc=[(fmT(Numeral(0)), 1)]
         )
-        concl = ProofSequent.make(
+        concl = Sequent.make(
             sig, ant=[(fmT(Numeral(0)), 1)], suc=[(fmT(Numeral(1)), 1)]
         )
         assert check_instance(sig, "TR", [prem], concl).ok
@@ -191,9 +189,9 @@ class TestOmegaRules:
         tl = _tl(lsig)
         ex = Exists("x", tl)
         fam = SequentFamily(
-            "n", 0, ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)])
+            "n", 0, Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)])
         )
-        concl = ProofSequent.make(lsig, ant=[(ex, 1)], suc=[(tl, OMEGA)])
+        concl = Sequent.make(lsig, ant=[(ex, 1)], suc=[(tl, OMEGA)])
         assert check_instance(
             lsig, "ExistsLw", [], concl, MULTIPLICATIVE, family=fam
         ).ok
@@ -201,9 +199,9 @@ class TestOmegaRules:
     def test_exists_right_policy_matrix(self, lsig):
         tl = _tl(lsig)
         ex = Exists("x", tl)
-        prem_w = ProofSequent.make(lsig, suc=[(tl, OMEGA)])
-        prem_1 = ProofSequent.make(lsig, suc=[(tl, 1)])
-        concl = ProofSequent.make(lsig, suc=[(ex, 1)])
+        prem_w = Sequent.make(lsig, suc=[(tl, OMEGA)])
+        prem_1 = Sequent.make(lsig, suc=[(tl, 1)])
+        concl = Sequent.make(lsig, suc=[(ex, 1)])
         assert check_instance(lsig, "ExistsRw", [prem_w], concl, MULTIPLICATIVE).ok
         assert not check_instance(lsig, "ExistsRw", [prem_1], concl, MULTIPLICATIVE).ok
         assert check_instance(lsig, "ExistsRw", [prem_1], concl, ADDITIVE).ok
@@ -212,8 +210,8 @@ class TestOmegaRules:
     def test_exists_left_single_premise_by_policy(self, lsig):
         tl = _tl(lsig)
         ex = Exists("x", tl)
-        prem = ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)])
-        concl = ProofSequent.make(lsig, ant=[(ex, 1)], suc=[(tl, 1)])
+        prem = Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)])
+        concl = Sequent.make(lsig, ant=[(ex, 1)], suc=[(tl, 1)])
         assert check_instance(lsig, "ExistsLw", [prem], concl, ADDITIVE).ok
         assert not check_instance(lsig, "ExistsLw", [prem], concl, MULTIPLICATIVE).ok
 
@@ -221,10 +219,10 @@ class TestOmegaRules:
         tl = _tl(lsig)
         ex = Exists("x", tl)
         extra = Neg(tl)
-        prem = ProofSequent.make(lsig, suc=[(tl, OMEGA), (extra, 1)])
-        concl = ProofSequent.make(lsig, suc=[(ex, 1), (extra, 1)])
+        prem = Sequent.make(lsig, suc=[(tl, OMEGA), (extra, 1)])
+        concl = Sequent.make(lsig, suc=[(ex, 1), (extra, 1)])
         assert check_instance(lsig, "ExistsRw", [prem], concl, MULTIPLICATIVE).ok
-        concl_missing = ProofSequent.make(lsig, suc=[(ex, 1)])
+        concl_missing = Sequent.make(lsig, suc=[(ex, 1)])
         assert not check_instance(
             lsig, "ExistsRw", [prem], concl_missing, MULTIPLICATIVE
         ).ok
@@ -238,13 +236,13 @@ class TestOmegaRules:
 
         ex = Exists("x", fmT(Var("x")))
         fam = FormulaFamily("n", 0, fmT(App("s", (Var("n"),))))
-        prem_full = ProofSequent.make(
+        prem_full = Sequent.make(
             sig, suc=[(fmT(Numeral(0)), 1)], suc_families=[fam]
         )
-        concl = ProofSequent.make(sig, suc=[(ex, 1)])
+        concl = Sequent.make(sig, suc=[(ex, 1)])
         assert check_instance(sig, "ExistsRw", [prem_full], concl).ok
         # dropping the numeral-zero instance breaks the coverage
-        prem_partial = ProofSequent.make(sig, suc_families=[fam])
+        prem_partial = Sequent.make(sig, suc_families=[fam])
         verdict = check_instance(sig, "ExistsRw", [prem_partial], concl)
         assert not verdict.ok
         assert "not covered" in verdict.message
@@ -256,7 +254,7 @@ class TestBuiltinDerivations:
         report = check_derivation(built.derivation, built.sig, MULTIPLICATIVE, 4)
         assert report.ok
         nex = Neg(Exists("x", Atom("T", (Const("l"),))))
-        assert built.derivation.conclusion == ProofSequent.make(
+        assert built.derivation.conclusion == Sequent.make(
             built.sig, suc=[(nex, 1)]
         )
 
@@ -282,7 +280,7 @@ class TestBuiltinDerivations:
 
     def test_prop1_final_sequent(self):
         built = prop1_derivation(k=2)
-        expected = ProofSequent.make(
+        expected = Sequent.make(
             built.sig,
             suc=[
                 (
@@ -326,13 +324,13 @@ class TestReports:
     def test_failure_reports_node_path(self, lsig):
         tl = _tl(lsig)
         leaf = Derivation(
-            ProofSequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
+            Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init"
         )
         bad = Derivation(
-            ProofSequent.make(lsig, ant=[(Neg(tl), 2)]), "NegL", (leaf,)
+            Sequent.make(lsig, ant=[(Neg(tl), 2)]), "NegL", (leaf,)
         )
         outer = Derivation(
-            ProofSequent.make(lsig, suc=[(Neg(Neg(tl)), 1)], ant=[(Neg(tl), 1)]),
+            Sequent.make(lsig, suc=[(Neg(Neg(tl)), 1)], ant=[(Neg(tl), 1)]),
             "NegR",
             (bad,),
         )
@@ -356,4 +354,4 @@ class TestJsonRoundTrip:
 
     def test_bad_rule_id_rejected(self, lsig):
         with pytest.raises(CheckError):
-            Derivation(ProofSequent.make(lsig), "Cut")
+            Derivation(Sequent.make(lsig), "Cut")

@@ -4,20 +4,16 @@ import pytest
 
 from mqlogic.multiset import (
     OMEGA,
-    IndexedFamily,
+    FormulaFamily,
     OmegaMultiset,
     Sequent,
-    dumps_sequent,
+    SequentSide,
     mult_add,
     mult_sub,
-    omega_union,
     parse_sequent,
-    render_sequent,
-    sequent_from_json,
-    union,
 )
 from mqlogic.derivations import liar_signature
-from mqlogic.syntax import Atom, Const, Neg
+from mqlogic.syntax import Atom, Const, Neg, Var
 
 
 @pytest.fixture
@@ -56,51 +52,62 @@ class TestUnion:
     def test_omega_absorbs_single_copy(self, sig, tl):
         a = OmegaMultiset(sig, [(tl, 1)])
         b = OmegaMultiset(sig, [(tl, OMEGA)])
-        assert union(a, b) == OmegaMultiset(sig, [(tl, OMEGA)])
+        assert a.union(b) == OmegaMultiset(sig, [(tl, OMEGA)])
 
     def test_identity(self, sig, tl):
         a = OmegaMultiset(sig, [(tl, 2)])
-        assert union(OmegaMultiset(sig), a) == a
+        assert OmegaMultiset(sig).union(a) == a
 
     def test_finite_addition(self, sig, tl):
         other = Neg(tl)
         a = OmegaMultiset(sig, [(tl, 1), (other, 1)])
         b = OmegaMultiset(sig, [(tl, 1)])
-        got = union(a, b)
+        got = a.union(b)
         assert got.multiplicity_of(tl) == 2
         assert got.multiplicity_of(other) == 1
 
     def test_open_formulas_rejected_by_default(self, sig):
-        from mqlogic.syntax import Var
-
         with pytest.raises(ValueError):
             OmegaMultiset(sig, [(Atom("T", (Var("x"),)), 1)])
 
 
+def _constant_family(f):
+    """A family whose template ignores its index: f at every slot."""
+    return FormulaFamily("i", 0, f)
+
+
 class TestOmegaUnion:
+    """The union over omega slots as a sequent side computes it: a family
+    that is the same sentence at every slot folds into omega copies."""
+
     def test_uniform_tail_goes_omega(self, sig, tl):
-        fam = IndexedFamily((), OmegaMultiset(sig, [(tl, 1)]))
-        assert omega_union(fam) == OmegaMultiset(sig, [(tl, OMEGA)])
+        side = SequentSide(OmegaMultiset(sig), [_constant_family(tl)])
+        assert side.finite == OmegaMultiset(sig, [(tl, OMEGA)])
+        assert side.families == ()
 
     def test_single_explicit_member(self, sig, tl):
-        fam = IndexedFamily((OmegaMultiset(sig, [(tl, 1)]),), OmegaMultiset(sig))
-        assert omega_union(fam) == OmegaMultiset(sig, [(tl, 1)])
+        side = SequentSide(OmegaMultiset(sig, [(tl, 1)]))
+        assert side.finite == OmegaMultiset(sig, [(tl, 1)])
 
     def test_finite_sum_of_explicit(self, sig, tl):
-        fam = IndexedFamily(
-            (OmegaMultiset(sig, [(tl, 1)]), OmegaMultiset(sig, [(tl, 2)])),
-            OmegaMultiset(sig),
-        )
+        first = SequentSide(OmegaMultiset(sig, [(tl, 1)]))
+        second = SequentSide(OmegaMultiset(sig, [(tl, 2)]))
         # oracle: direct addition
-        assert omega_union(fam).multiplicity_of(tl) == 1 + 2
+        assert first.union(second).finite.multiplicity_of(tl) == 1 + 2
 
     def test_all_equal_members_support(self, sig, tl):
         member = OmegaMultiset(sig, [(tl, 2), (Neg(tl), 1)])
-        fam = IndexedFamily((member.copy(),), member)
-        got = omega_union(fam)
+        families = [_constant_family(f) for f in member.support()]
+        got = SequentSide(member.copy(), families).finite
         assert got.multiplicity_of(tl) is OMEGA
         assert got.multiplicity_of(Neg(tl)) is OMEGA
         assert set(got.support()) == set(member.support())
+
+    def test_folding_leaves_the_argument_unchanged(self, sig, tl):
+        ms = OmegaMultiset(sig)
+        side = SequentSide(ms, [_constant_family(tl)])
+        assert ms.is_empty()
+        assert side.finite.multiplicity_of(tl) is OMEGA
 
 
 class TestMultiplicityLookup:
@@ -126,20 +133,32 @@ class TestMultiplicityLookup:
 class TestSequentForms:
     def test_text_round_trip(self, sig):
         s = parse_sequent("T(l), T(l) |- ~T(l), T(l)^w", sig)
-        assert s.antecedent.multiplicity_of(Atom("T", (Const("l"),))) == 2
-        assert s.succedent.multiplicity_of(Atom("T", (Const("l"),))) is OMEGA
-        again = parse_sequent(render_sequent(s), sig)
+        assert s.ant.finite.multiplicity_of(Atom("T", (Const("l"),))) == 2
+        assert s.suc.finite.multiplicity_of(Atom("T", (Const("l"),))) is OMEGA
+        assert s.ant.families == () and s.suc.families == ()
+        assert s.render() == "T(l)^2 |- T(l)^w, ~T(l)"
+        again = parse_sequent(s.render(), sig)
         assert again == s
 
     def test_json_round_trip(self, sig):
         s = parse_sequent("T(l)^3 |- ~T(l)", sig)
-        data = json.loads(dumps_sequent(s))
-        assert data["ant"] == [["T(l)", 3]]
-        assert sequent_from_json(data, sig) == s
+        data = json.loads(json.dumps(s.to_json()))
+        assert data == {"ant": [["T(l)", 3]], "suc": [["~T(l)", 1]]}
+        assert Sequent.from_json(data, sig) == s
+        # family fields appear only on a side that has families
+        fam = FormulaFamily("n", 1, Atom("T", (Var("n"),)))
+        s = Sequent.make(sig, suc_families=[fam])
+        data = json.loads(json.dumps(s.to_json()))
+        assert data == {
+            "ant": [],
+            "suc": [],
+            "sucFams": [{"var": "n", "start": 1, "formula": "T(n)"}],
+        }
+        assert Sequent.from_json(data, sig) == s
 
     def test_empty_sequent(self, sig):
         s = parse_sequent(" |- ", sig)
-        assert s.antecedent.is_empty() and s.succedent.is_empty()
+        assert s.ant.finite.is_empty() and s.suc.finite.is_empty()
 
     def test_members_must_be_sentences(self, sig):
         with pytest.raises(ValueError):

@@ -21,10 +21,6 @@ from mqlogic.semantics import (
     lemma1_conclusion_finite_oracle,
     load_valuation,
     sequent_sound,
-    strong_conjunction,
-    strong_disjunction,
-    weak_conjunction,
-    weak_disjunction,
 )
 from mqlogic.syntax import (
     Atom,
@@ -91,11 +87,27 @@ class TestConnectiveClauses:
         with pytest.raises(OpenFormulaError):
             eval_formula(Valuation(psig), Atom("P", (Var("x"),)))
 
-    def test_helper_tables(self):
-        assert strong_disjunction(F(2, 3), F(2, 3)) == 1
-        assert strong_conjunction(F(2, 3), F(2, 3)) == F(1, 3)
-        assert weak_disjunction(F(2, 3), F(1, 3)) == F(2, 3)
-        assert weak_conjunction(F(2, 3), F(1, 3)) == F(1, 3)
+    def test_defined_connective_tables(self):
+        # the strong and weak connectives, written with ~ and ->
+        s = Signature()
+        for name in ("A", "B", "C"):
+            s.add_predicate(name, 0)
+        v = Valuation(
+            s,
+            atom_values={
+                Atom("A", ()): F(2, 3),
+                Atom("B", ()): F(2, 3),
+                Atom("C", ()): F(1, 3),
+            },
+        )
+
+        def value(text):
+            return eval_formula(v, parse_formula(text, s))
+
+        assert value("~A -> B") == 1  # strong disjunction min(1, a + b)
+        assert value("~(A -> ~B)") == F(1, 3)  # strong conjunction
+        assert value("(A -> C) -> C") == F(2, 3)  # weak disjunction max
+        assert value("~((~A -> ~C) -> ~C)") == F(1, 3)  # weak conjunction min
 
 
 class TestQuantifier:
