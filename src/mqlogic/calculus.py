@@ -306,6 +306,18 @@ class _RuleChecker:
             )
         return nf.value
 
+    @staticmethod
+    def _without_principal(side: SequentSide, f: Formula) -> SequentSide:
+        """The conclusion side less one copy of its principal formula; a
+        principal the conclusion does not contain fails the node."""
+        try:
+            return side.with_removed_one(f)
+        except ValueError:
+            raise CheckError(
+                f"principal formula {render_formula(f)} does not occur on its "
+                "side of the conclusion"
+            ) from None
+
     def _candidates(
         self, side: SequentSide, principal: Optional[Formula], want
     ) -> list[Formula]:
@@ -372,7 +384,7 @@ class _RuleChecker:
             if not isinstance(f, Neg):
                 continue
             expected = Sequent(
-                conclusion.ant.with_removed_one(f),
+                self._without_principal(conclusion.ant, f),
                 conclusion.suc.with_added(f.body),
             )
             last = self._expect(premises[0], expected, "NegL shape")
@@ -388,7 +400,7 @@ class _RuleChecker:
                 continue
             expected = Sequent(
                 conclusion.ant.with_added(f.body),
-                conclusion.suc.with_removed_one(f),
+                self._without_principal(conclusion.suc, f),
             )
             last = self._expect(premises[0], expected, "NegR shape")
             if last.ok:
@@ -403,7 +415,7 @@ class _RuleChecker:
                 continue
             expected = Sequent(
                 conclusion.ant.with_added(f.lhs),
-                conclusion.suc.with_removed_one(f).with_added(f.rhs),
+                self._without_principal(conclusion.suc, f).with_added(f.rhs),
             )
             last = self._expect(premises[0], expected, "CondR shape")
             if last.ok:
@@ -474,7 +486,7 @@ class _RuleChecker:
             named = self._named_body(atom)
             expected = Sequent(
                 conclusion.ant.copy(),
-                conclusion.suc.with_removed_one(atom).with_added(named),
+                self._without_principal(conclusion.suc, atom).with_added(named),
             )
             last = self._expect(premises[0], expected, "TR shape")
             if last.ok:
@@ -489,7 +501,7 @@ class _RuleChecker:
         for atom in self._truth_atom_candidates(conclusion.ant, principal):
             named = self._named_body(atom)
             expected = Sequent(
-                conclusion.ant.with_removed_one(atom).with_added(named),
+                self._without_principal(conclusion.ant, atom).with_added(named),
                 conclusion.suc.copy(),
             )
             last = self._expect(premises[0], expected, "TL shape")
@@ -629,7 +641,7 @@ class _RuleChecker:
             if premise.ant != conclusion.ant:
                 last = Verdict(False, "ExistsRw must not change the antecedent")
                 continue
-            delta = conclusion.suc.with_removed_one(f)
+            delta = self._without_principal(conclusion.suc, f)
             try:
                 residual = premise.suc.minus(delta)
             except ValueError as e:

@@ -291,13 +291,17 @@ class Signature:
     name constant.  When arithmetic is declared, every name constant also
     receives a numeral code and a rewrite rule mapping the constant to its
     code, so that closed terms normalise to numeral form.
+
+    The rule index and the normal-form memo are derived from the rule set
+    and the successor symbol; ``_rules_changed`` drops them whenever
+    either changes.
     """
 
     def __init__(self) -> None:
         self.constants: list[str] = []
         self.functions: list[tuple[str, int]] = []
         self.predicates: list[tuple[str, int]] = [("T", 1)]
-        self.rewrites: list[RewriteRule] = []
+        self._rewrites: tuple[RewriteRule, ...] = ()
         self.zero: Optional[str] = None
         self.succ: Optional[str] = None
         self.max_rewrite_steps: int = 10_000
@@ -310,6 +314,8 @@ class Signature:
         self._code_name: dict[int, str] = {}
         self._fresh_counter = 0
         self._lock = threading.RLock()
+        self._rule_index: Optional[dict[object, tuple[RewriteRule, ...]]] = None
+        self._normal_forms: dict[Term, tuple[Term, int]] = {}
 
     # -- declarations ------------------------------------------------------
 
@@ -362,6 +368,7 @@ class Signature:
         self.constants.append(zero)
         self.functions.append((succ, 1))
         self._fn_arity[succ] = 1
+        self._rules_changed()  # successor patterns now match numerals
 
     @property
     def has_arithmetic(self) -> bool:
@@ -408,9 +415,7 @@ class Signature:
         code = len(self._name_code)
         self._name_code[const] = code
         self._code_name[code] = const
-        self.rewrites.append(
-            RewriteRule(Const(const), Numeral(code), label=f"code.{const}")
-        )
+        self._add_rule(RewriteRule(Const(const), Numeral(code), label=f"code.{const}"))
 
     def name_of(self, formula: Formula) -> Const:
         """The canonical-name constant of a sentence (memoised; atomic)."""
@@ -455,10 +460,24 @@ class Signature:
 
     # -- rewrite rules -----------------------------------------------------
 
+    @property
+    def rewrites(self) -> tuple[RewriteRule, ...]:
+        """The rewrite rules in the order they are tried; add rules with
+        ``add_rewrite`` so that the index and the memo are dropped."""
+        return self._rewrites
+
     def add_rewrite(self, lhs: Term, rhs: Term, label: str = "") -> None:
         rule = RewriteRule(lhs, rhs, label)
         validate_rule(self, rule)
-        self.rewrites.append(rule)
+        self._add_rule(rule)
+
+    def _add_rule(self, rule: RewriteRule) -> None:
+        self._rewrites += (rule,)
+        self._rules_changed()
+
+    def _rules_changed(self) -> None:
+        self._rule_index = None
+        self._normal_forms = {}
 
     # -- normalisation (delegates, kept here for convenience) --------------
 
@@ -567,8 +586,8 @@ class _Budget:
     def __init__(self, steps: int) -> None:
         self.left = steps
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, steps: int = 1) -> None:
+        self.left -= steps
         if self.left < 0:
             raise StepBudgetError("rewrite step budget exceeded")
 
@@ -619,8 +638,11 @@ def _instantiate(sig: Signature, rhs: Term, binding: dict[str, Term]) -> Term:
     return rhs
 
 
-def _step_root(sig: Signature, t: Term, budget: _Budget) -> Optional[Term]:
-    for rule in sig.rewrites:
+def _step_root(
+    sig: Signature, t: Term, budget: _Budget, rules: tuple[RewriteRule, ...]
+) -> Optional[Term]:
+    """Rewrite ``t`` at the root by the first of ``rules`` that matches."""
+    for rule in rules:
         binding: dict[str, Term] = {}
         if _match(sig, rule.lhs, t, binding):
             budget.spend()
@@ -628,16 +650,60 @@ def _step_root(sig: Signature, t: Term, budget: _Budget) -> Optional[Term]:
     return None
 
 
-def _normalize_in(sig: Signature, t: Term, budget: _Budget) -> Term:
-    """Innermost-leftmost normalisation."""
-    t = _canon(sig, t)
+def _index_rules(sig: Signature) -> dict[object, tuple[RewriteRule, ...]]:
+    """Rules bucketed by the root of their left side, each bucket in rule
+    order: a constant under itself, an application under its function
+    symbol.  A successor application also goes under ``Numeral``, because
+    it matches numerals >= 1 (see _match).  validate_rule admits no other
+    left sides."""
+    index: dict[object, list[RewriteRule]] = {}
+    for rule in sig.rewrites:
+        lhs = rule.lhs
+        keys: tuple[object, ...] = (lhs,)
+        if isinstance(lhs, App):
+            keys = (lhs.fn, Numeral) if lhs.fn == sig.succ else (lhs.fn,)
+        for key in keys:
+            index.setdefault(key, []).append(rule)
+    return {key: tuple(rules) for key, rules in index.items()}
+
+
+def _rules_at_root(sig: Signature, t: Term) -> tuple[RewriteRule, ...]:
+    """The rules whose left side can match ``t`` at the root, in rule order."""
+    index = sig._rule_index
+    if index is None:
+        index = sig._rule_index = _index_rules(sig)
     if isinstance(t, App):
-        t = _canon(sig, App(t.fn, tuple(_normalize_in(sig, a, budget) for a in t.args)))
+        return index.get(t.fn, ())
+    if isinstance(t, Numeral):
+        return index.get(Numeral, ())
+    return index.get(t, ())
+
+
+def _normalize_in(sig: Signature, t: Term, budget: _Budget) -> Term:
+    """Innermost-leftmost normalisation, memoised per signature.
+
+    A memo hit charges the steps the cached run spent, so the budget runs
+    out exactly when it would have without the memo.  The entry goes into
+    the memo that was current when ``t`` was first looked up: if the rules
+    changed meanwhile, that memo has been dropped and the entry with it.
+    """
+    memo = sig._normal_forms
+    hit = memo.get(t)
+    if hit is not None:
+        nf, steps = hit
+        budget.spend(steps)
+        return nf
+    left = budget.left
+    nf = _canon(sig, t)
+    if isinstance(nf, App):
+        nf = _canon(sig, App(nf.fn, tuple(_normalize_in(sig, a, budget) for a in nf.args)))
     while True:
-        r = _step_root(sig, t, budget)
+        r = _step_root(sig, nf, budget, _rules_at_root(sig, nf))
         if r is None:
-            return t
-        t = _normalize_in(sig, r, budget)
+            break
+        nf = _normalize_in(sig, r, budget)
+    memo[t] = (nf, left - budget.left)
+    return nf
 
 
 def normalize_term(t: Term, sig: Signature, budget: Optional[int] = None) -> Term:
@@ -653,7 +719,7 @@ def normalize_term(t: Term, sig: Signature, budget: Optional[int] = None) -> Ter
 
 def _step_outermost(sig: Signature, t: Term, budget: _Budget) -> Optional[Term]:
     t = _canon(sig, t)
-    r = _step_root(sig, t, budget)
+    r = _step_root(sig, t, budget, sig.rewrites)
     if r is not None:
         return r
     if isinstance(t, App):
@@ -667,7 +733,11 @@ def _step_outermost(sig: Signature, t: Term, budget: _Budget) -> Optional[Term]:
 
 
 def normalize_term_outermost(t: Term, sig: Signature, budget: Optional[int] = None) -> Term:
-    """Outermost-leftmost normalisation; used to cross-check confluence."""
+    """Outermost-leftmost normalisation; used to cross-check confluence.
+
+    It scans the whole rule list and keeps no memo, so it is an
+    independent reference for the indexed, memoised innermost strategy.
+    """
     if not term_is_closed(t):
         raise ValueError("normalize_term requires a closed term")
     b = _Budget(budget or sig.max_rewrite_steps)

@@ -116,6 +116,22 @@ class TestPropositionalRules:
         assert not report.ok
         assert "expected premise" in report.per_node[0].message
 
+    def test_absent_principal_fails_the_node(self, lsig):
+        tl = _tl(lsig)
+        leaf = Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)])
+        verdict = check_instance(
+            lsig, "NegL", [leaf], Sequent.make(lsig, suc=[(tl, 1)]), principal=Neg(tl)
+        )
+        assert not verdict.ok
+        assert "principal formula ~T(l) does not occur" in verdict.message
+        for rule, concl, principal in (
+            ("NegR", Sequent.make(lsig, ant=[(tl, 1)]), Neg(tl)),
+            ("TR", Sequent.make(lsig, ant=[(tl, 1)]), tl),
+            ("TL", Sequent.make(lsig, suc=[(tl, 1)]), tl),
+        ):
+            verdict = check_instance(lsig, rule, [leaf], concl, principal=principal)
+            assert not verdict.ok and "does not occur" in verdict.message, rule
+
 
 class TestTruthRules:
     def test_tr_and_tl_roundtrip(self, lsig):

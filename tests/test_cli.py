@@ -3,8 +3,10 @@ import json
 import pytest
 
 from mqlogic.cli import main
-from mqlogic.calculus import derivation_to_json
-from mqlogic.derivations import prop3_derivation
+from mqlogic.calculus import Derivation, derivation_to_json
+from mqlogic.derivations import liar_signature, prop3_derivation
+from mqlogic.multiset import Sequent
+from mqlogic.syntax import Atom, Const, Neg
 
 
 @pytest.fixture
@@ -110,6 +112,25 @@ class TestCheckDerivation:
         )
         assert code2 == 1
         assert json.loads(out2)["ok"] is False
+
+    def test_absent_principal_exit_1(self, capsys, tmp_path, liar_sig):
+        sig = liar_signature()
+        tl = Atom("T", (Const("l"),))
+        leaf = Derivation(Sequent.make(sig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init")
+        bad = Derivation(
+            Sequent.make(sig, suc=[(tl, 1)]), "NegL", (leaf,), principal=Neg(tl)
+        )
+        d = tmp_path / "bad.json"
+        d.write_text(json.dumps(derivation_to_json(bad)))
+        code, out = run(
+            capsys, "check-derivation", "-d", str(d), "--sig", liar_sig, "--json"
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        [node] = report["perNode"]
+        assert (node["path"], node["rule"], node["ok"]) == ("root", "NegL", False)
+        assert "principal formula ~T(l) does not occur" in node["message"]
 
 
 class TestFuzzCommand:

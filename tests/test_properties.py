@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqlogic.derivations import truth_coding_signature
+from mqlogic.derivations import prop1_derivation, truth_coding_signature
 from mqlogic.multiset import OMEGA, FormulaFamily, OmegaMultiset, SequentSide
 from mqlogic.piecewise import eval_parametric, piecewise_to_json
 from mqlogic.semantics import (
@@ -159,6 +159,30 @@ class TestSyntaxProperties:
             inner = normalize_term(t, sig, budget=100_000)
             outer = normalize_term_outermost(t, sig, budget=100_000)
             assert inner == outer, t
+
+    def test_confluence_with_many_coding_rules(self):
+        # prop1_derivation(8) names the iterated truth atoms, so every
+        # name constant has its own code.* rule in the constant buckets
+        sig = prop1_derivation(8).sig
+        names = [Const(c) for c in sig.naming_scheme]
+        assert len(names) > 8
+        rng = random.Random(2025)
+
+        def random_term(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice([Numeral(rng.randint(0, 9)), rng.choice(names)])
+            if rng.random() < 0.5:
+                return App("tdot", (random_term(depth - 1),))
+            return App(
+                "fm", (random_term(depth - 1), random_term(depth - 1))
+            )
+
+        for _ in range(500):
+            t = random_term(3)
+            cold = normalize_term(t, sig, budget=100_000)
+            warm = normalize_term(t, sig, budget=100_000)
+            outer = normalize_term_outermost(t, sig, budget=100_000)
+            assert cold == warm == outer, t
 
 
 # -- multiset properties ----------------------------------------------------

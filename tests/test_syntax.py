@@ -233,6 +233,78 @@ class TestRewriting:
         with pytest.raises(StepBudgetError):
             normalize_term(App("fm", (Numeral(50), Const("mu"))), s, budget=10)
 
+    def test_step_budget_with_warm_memo(self):
+        s = truth_coding_signature()
+        t = App("fm", (Numeral(50), Const("mu")))
+        # the first run names the coding atoms, which drops the memo
+        normalize_term(t, s)
+        normalize_term(t, s)
+        assert t in s._normal_forms
+        with pytest.raises(StepBudgetError):
+            normalize_term(t, s, budget=10)
+
+    def test_step_budget_is_exact_cold_and_warm(self):
+        def countdown():
+            s = Signature()
+            s.add_arithmetic("0", "s")
+            s.add_function("fm", 2)
+            s.add_rewrite(App("fm", (Numeral(0), Var("y"))), Var("y"))
+            s.add_rewrite(
+                App("fm", (App("s", (Var("n"),)), Var("y"))),
+                App("fm", (Var("n"), Var("y"))),
+            )
+            return s
+
+        # fm(k, 7) takes k successor steps and one zero step
+        t = App("fm", (Numeral(5), Numeral(7)))
+        steps = 6
+        assert normalize_term(t, countdown(), budget=steps) == Numeral(7)
+        with pytest.raises(StepBudgetError):
+            normalize_term(t, countdown(), budget=steps - 1)
+        warm = countdown()
+        normalize_term(t, warm)
+        assert t in warm._normal_forms
+        for _ in range(2):
+            with pytest.raises(StepBudgetError):
+                normalize_term(t, warm, budget=steps - 1)
+            assert normalize_term(t, warm, budget=steps) == Numeral(7)
+
+    def test_declared_name_invalidates_normal_forms(self):
+        s = Signature()
+        s.add_arithmetic("0", "s")
+        s.add_constant("c")
+        assert normalize_term(Const("c"), s) == Const("c")
+        s.declare_name("c", Atom("T", (Const("c"),)))
+        assert normalize_term(Const("c"), s) == Numeral(0)
+
+    def test_added_rule_invalidates_normal_forms(self):
+        s = Signature()
+        s.add_function("f", 1)
+        s.add_constant("a")
+        t = App("f", (Const("a"),))
+        assert normalize_term(t, s) == t
+        s.add_rewrite(App("f", (Var("x"),)), Var("x"))
+        assert normalize_term(t, s) == Const("a")
+
+    def test_successor_rules_match_numerals(self):
+        s = Signature()
+        s.add_constant("a")
+        s.add_rewrite(App("s", (App("s", (Var("x"),)),)), Var("x"), "parity")
+        assert normalize_term(Numeral(5), s) == Numeral(5)
+        # declaring the successor makes the rule apply to numerals
+        s.add_arithmetic("0", "s")
+        for n in range(6):
+            nf = normalize_term(Numeral(n), s)
+            assert nf == Numeral(n % 2) == normalize_term_outermost(Numeral(n), s)
+        t = App("s", (App("s", (App("s", (Const("a"),)),)),))
+        assert normalize_term(t, s) == App("s", (Const("a"),))
+
+    def test_rewrites_are_read_only(self):
+        s = truth_coding_signature()
+        assert isinstance(s.rewrites, tuple)
+        with pytest.raises(AttributeError):
+            s.rewrites = ()
+
     def test_strategies_agree(self):
         s = truth_coding_signature()
         for k in range(6):
