@@ -3,8 +3,9 @@
 Subcommands: ``eval``, ``check-sequent``, ``check-derivation``, ``fuzz``,
 ``solve-selfref``, ``repro``.  Exit codes: 0 pass, 1 expectation mismatch
 (failed check, failed reproduction, unsound sequent), 2 usage or parse
-error, 3 semantic error (ungrounded self-reference, open formula).  The
-environment variable MQLOGIC_SEED overrides ``--seed``.
+error, or input nested past the recursion limit, 3 semantic error
+(ungrounded self-reference, open formula).  The environment variable
+MQLOGIC_SEED overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -248,6 +249,13 @@ def main(argv: list[str] | None = None) -> int:
     except SemanticsError as e:
         print(f"semantic error: {e}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except RecursionError:
+        print(
+            "input error: input nested too deeply for the recursion limit "
+            f"({sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

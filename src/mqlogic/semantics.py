@@ -17,18 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .multiset import OMEGA, Multiplicity, OmegaMultiset, Sequent
 from .syntax import (
+    App,
     Atom,
     Cond,
     Const,
     Exists,
     Formula,
     Neg,
+    Quote,
     Signature,
     Term,
+    Var,
     free_vars,
     normalize_formula,
     render_formula,
@@ -173,50 +176,134 @@ class Valuation:
 
 
 class _EvalState:
-    __slots__ = ("unfolds_left",)
+    """What one evaluation carries: the unfolding budget and caches that
+    die with it.
 
-    def __init__(self, budget: int) -> None:
-        self.unfolds_left = budget
+    The caches are exact.  During one evaluation the rules can grow only
+    by ``code.*`` rules for names that ``name_of`` creates (through a
+    quote right-hand side), and their left sides are new constants that
+    no earlier term contains.  So a normal form, an atom key or a render
+    computed earlier in the evaluation is what it would be if computed
+    again now, and skipping the repeat creates no name that the repeat
+    would have created.
+    """
+
+    __slots__ = (
+        "valuation",
+        "unfolds_left",
+        "normal_forms",
+        "atom_keys",
+        "render_keys",
+        "valuation_terms",
+    )
+
+    def __init__(self, valuation: Valuation) -> None:
+        self.valuation = valuation
+        self.unfolds_left = valuation.unfold_budget
+        self.normal_forms: dict[Term, Term] = {}  # closed term -> normal form
+        self.atom_keys: dict[Atom, Formula] = {}  # closed atom -> normalised key
+        self.render_keys: dict[Term, str] = {}
+        # (normal forms seen, representatives) of the atom-map keys and the
+        # unknown; computed at the first quantifier
+        self.valuation_terms: Optional[tuple[set[Term], list[Term]]] = None
+
+    def atom_key(self, atom: Atom) -> Formula:
+        """``normalize_formula`` of a closed atom."""
+        key = self.atom_keys.get(atom)
+        if key is None:
+            key = Atom(atom.pred, tuple(self.normal_form(t) for t in atom.args))
+            self.atom_keys[atom] = key
+        return key
+
+    def normal_form(self, t: Term) -> Term:
+        nf = self.normal_forms.get(t)
+        if nf is None:
+            nf = self.normal_forms[t] = self.valuation.sig.normalize_term(t)
+        return nf
+
+    def render_key(self, t: Term) -> str:
+        key = self.render_keys.get(t)
+        if key is None:
+            key = self.render_keys[t] = render_term(t)
+        return key
 
 
-def _relevant_terms(valuation: Valuation, body: Formula) -> list[Term]:
-    """Closed terms that can distinguish an instance from the tail:
-    subterms of atom-map keys and of the formula, deduplicated by normal
-    form."""
-    sig = valuation.sig
-    seen: set[Term] = set()
-    out: list[Term] = []
+Env = dict[str, Term]  # variables to closed terms
 
-    def visit(t: Term) -> None:
+
+def _without(env: Env, var: str) -> Env:
+    if var not in env:
+        return env
+    return {x: t for x, t in env.items() if x != var}
+
+
+def _bind_term(t: Term, env: Env) -> Term:
+    """``t`` with the variables of ``env`` replaced, as ``substitute_term``
+    would replace them one by one."""
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    if isinstance(t, App):
+        return App(t.fn, tuple(_bind_term(a, env) for a in t.args))
+    if isinstance(t, Quote):
+        return Quote(_bind_formula(t.body, env))
+    return t
+
+
+def _bind_formula(f: Formula, env: Env) -> Formula:
+    for x, t in env.items():
+        f = substitute(f, x, t)
+    return f
+
+
+def _bound_args(f: Formula, env: Env) -> Iterator[Term]:
+    """The atom arguments of ``f`` under ``env``; a nested binder shields
+    its variable, as ``substitute`` stops at it."""
+    if isinstance(f, Atom):
+        for arg in f.args:
+            yield _bind_term(arg, env)
+    elif isinstance(f, Neg):
+        yield from _bound_args(f.body, env)
+    elif isinstance(f, Cond):
+        yield from _bound_args(f.lhs, env)
+        yield from _bound_args(f.rhs, env)
+    elif isinstance(f, Exists):
+        yield from _bound_args(f.body, _without(env, f.var))
+
+
+def _visit(
+    state: _EvalState, terms: Iterable[Term], seen: set[Term], out: list[Term]
+) -> None:
+    """Append each closed subterm of ``terms`` whose normal form is not
+    yet in ``seen``: the first-seen representative of each normal form."""
+    for t in terms:
         for sub in subterms(t):
-            if not term_is_closed(sub):
-                continue
-            nf = sig.normalize_term(sub)
+            nf = state.normal_forms.get(sub)  # only closed terms are cached
+            if nf is None:
+                if not term_is_closed(sub):
+                    continue
+                nf = state.normal_form(sub)
             if nf not in seen:
                 seen.add(nf)
                 out.append(sub)
 
-    for atom in valuation.atom_values:
-        for arg in atom.args:
-            visit(arg)
-    if valuation.unknown is not None:
-        for arg in valuation.unknown.args:
-            visit(arg)
 
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            for arg in f.args:
-                visit(arg)
-        elif isinstance(f, Neg):
-            walk(f.body)
-        elif isinstance(f, Cond):
-            walk(f.lhs)
-            walk(f.rhs)
-        elif isinstance(f, Exists):
-            walk(f.body)
-
-    walk(body)
-    out.sort(key=render_term)
+def _relevant_terms(state: _EvalState, body: Formula, env: Env) -> list[Term]:
+    """Closed terms that can distinguish an instance from the tail:
+    subterms of atom-map keys, of the unknown and of the body under
+    ``env``, deduplicated by normal form and sorted by rendering."""
+    if state.valuation_terms is None:
+        valuation = state.valuation
+        atoms = list(valuation.atom_values)
+        if valuation.unknown is not None:
+            atoms.append(valuation.unknown)
+        seen: set[Term] = set()
+        out: list[Term] = []
+        _visit(state, (arg for atom in atoms for arg in atom.args), seen, out)
+        state.valuation_terms = (seen, out)
+    seen, out = state.valuation_terms
+    seen, out = set(seen), list(out)
+    _visit(state, _bound_args(body, env), seen, out)
+    out.sort(key=state.render_key)
     return out
 
 
@@ -256,54 +343,57 @@ FRACTIONS = ValueAlgebra(
     constant=lambda q: q,
     unknown=_no_unknown,
     neg=lambda a: ONE - a,
-    cond=lambda a, b: min(ONE, ONE - a + b),
+    cond=lambda a, b: ONE if a <= b else ONE - a + b,
     exists=exists_value,
 )
 
 
-def _walk(alg: ValueAlgebra, valuation: Valuation, f: Formula, state: _EvalState):
-    sig = valuation.sig
+def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
+    """Value of ``f`` with its free variables read from ``env``."""
+    valuation = state.valuation
     if isinstance(f, Atom):
-        key = normalize_formula(f, sig)
+        atom = Atom(f.pred, tuple(_bind_term(a, env) for a in f.args)) if env else f
+        key = state.atom_key(atom)
         if valuation.unknown is not None and key == valuation.unknown:
             return alg.unknown()
         if valuation.transparent and f.pred == "T" and f.args:
-            named = sig.named_formula(f.args[0])
+            named = valuation.sig.named_formula(key.args[0])
             if named is not None:
                 if state.unfolds_left <= 0:
                     raise UngroundedError(
-                        f"transparent unfolding exhausted at {render_formula(f)}"
+                        f"transparent unfolding exhausted at {render_formula(atom)}"
                     )
                 state.unfolds_left -= 1
-                return _walk(alg, valuation, named, state)
+                return _walk(alg, state, named, {})
         if key in valuation.atom_values:
             return alg.constant(valuation.atom_values[key])
         return alg.constant(valuation.default_of(f.pred))
     if isinstance(f, Neg):
-        return alg.neg(_walk(alg, valuation, f.body, state))
+        return alg.neg(_walk(alg, state, f.body, env))
     if isinstance(f, Cond):
-        a = _walk(alg, valuation, f.lhs, state)
-        return alg.cond(a, _walk(alg, valuation, f.rhs, state))
+        a = _walk(alg, state, f.lhs, env)
+        return alg.cond(a, _walk(alg, state, f.rhs, env))
     if isinstance(f, Exists):
-        explicit, tail = _instances(alg, valuation, f.body, f.var, state)
+        explicit, tail = _instances(alg, state, f.body, f.var, env)
         return alg.exists([v for _, v in explicit], tail, valuation.mode)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _instances(
-    alg: ValueAlgebra, valuation: Valuation, body: Formula, var: str, state: _EvalState
+    alg: ValueAlgebra, state: _EvalState, body: Formula, var: str, env: Env
 ) -> tuple[list[tuple[Term, Any]], Any]:
-    if free_vars(body) - {var}:
+    env = _without(env, var)
+    free = free_vars(body)
+    if free - env.keys() - {var}:
         raise OpenFormulaError(
-            f"instance family needs at most one free variable: {render_formula(body)}"
+            "instance family needs at most one free variable: "
+            + render_formula(_bind_formula(body, env))
         )
-    bound = var in free_vars(body)
+    bound = var in free
     explicit = []
-    for t in _relevant_terms(valuation, body):
-        inst = substitute(body, var, t) if bound else body
-        explicit.append((t, _walk(alg, valuation, inst, state)))
-    tail_inst = substitute(body, var, _TAIL_CONST) if bound else body
-    return explicit, _walk(alg, valuation, tail_inst, state)
+    for t in _relevant_terms(state, body, env):
+        explicit.append((t, _walk(alg, state, body, {**env, var: t} if bound else env)))
+    return explicit, _walk(alg, state, body, {**env, var: _TAIL_CONST} if bound else env)
 
 
 def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
@@ -314,7 +404,7 @@ def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
     """
     if free_vars(f):
         raise OpenFormulaError(f"not a sentence: {render_formula(f)}")
-    return _walk(alg, valuation, f, _EvalState(valuation.unfold_budget))
+    return _walk(alg, _EvalState(valuation), f, {})
 
 
 def eval_formula(valuation: Valuation, f: Formula) -> Fraction:
@@ -330,9 +420,7 @@ def instance_values(
     Returns the explicit part (one entry per relevant term, deduplicated
     by normal form) and the common value of every other instance.
     """
-    return _instances(
-        FRACTIONS, valuation, f, var, _EvalState(valuation.unfold_budget)
-    )
+    return _instances(FRACTIONS, _EvalState(valuation), f, var, {})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -56,6 +57,20 @@ class TestEval:
 
     def test_parse_error_exit_2(self, capsys, half_val):
         assert main(["eval", "-v", half_val, "-f", "P(a) ->"]) == 2
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "(" * 600 + "P(a)" + ")" * 600,
+            "~" * 2000 + "P(a)",
+            " -> ".join(["P(a)"] * 2001),
+        ],
+        ids=["parentheses", "negations", "conditionals"],
+    )
+    def test_deep_nesting_exit_2(self, capsys, half_val, formula):
+        assert main(["eval", "-v", half_val, "-f", formula]) == 2
+        err = capsys.readouterr().err
+        assert f"recursion limit ({sys.getrecursionlimit()})" in err
 
     def test_semantic_error_exit_3(self, capsys, tmp_path, liar_sig):
         v = tmp_path / "t.val"

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mqlogic.derivations import prop1_derivation, truth_coding_signature
 from mqlogic.multiset import OMEGA, FormulaFamily, OmegaMultiset, SequentSide
@@ -36,11 +36,16 @@ from mqlogic.syntax import (
     Var,
     formulas_equal,
     free_vars,
+    load_signature,
+    normalize_formula,
     normalize_term,
     normalize_term_outermost,
     parse_formula,
     render_formula,
+    render_term,
     substitute,
+    subterms,
+    term_is_closed,
 )
 
 
@@ -308,6 +313,149 @@ class TestSemanticProperties:
         bigger = ms.union(OmegaMultiset(SIG, [(extra, 1)]))
         assert eval_succedent(v, bigger) >= eval_succedent(v, ms)
         assert eval_antecedent(v, bigger) <= eval_antecedent(v, ms)
+
+
+# -- differential: environment evaluator against substitution ----------------
+
+# the eval benchmark's signature, in which g(f(t)) is a redex for every t,
+# plus h(t), which names the sentence P(t); the names an evaluation creates
+# show which terms it normalised, and in which order
+FUN_SIG = """\
+pred P/1
+pred Q/1
+pred R/0
+const a
+const b
+fun f/1
+fun g/1
+fun h/1
+rewrite g(f(x)) => x
+rewrite h(x) => quote(P(x))
+"""
+
+
+def reference_value(v: Valuation, f) -> F:
+    """Value of a sentence by substitution: every quantifier instance
+    rebuilds its body and recomputes its relevant terms, and every atom
+    is normalised when visited.  No transparent truth, no unknown."""
+    sig = v.sig
+
+    def relevant_terms(body):
+        seen, out = set(), []
+
+        def visit(t):
+            for sub in subterms(t):
+                if term_is_closed(sub):
+                    nf = normalize_term(sub, sig)
+                    if nf not in seen:
+                        seen.add(nf)
+                        out.append(sub)
+
+        def walk(g):
+            if isinstance(g, Atom):
+                for arg in g.args:
+                    visit(arg)
+            elif isinstance(g, Neg):
+                walk(g.body)
+            elif isinstance(g, Cond):
+                walk(g.lhs)
+                walk(g.rhs)
+            else:
+                walk(g.body)
+
+        for atom in v.atom_values:
+            for arg in atom.args:
+                visit(arg)
+        walk(body)
+        return sorted(out, key=render_term)
+
+    def value(g):
+        if isinstance(g, Atom):
+            key = normalize_formula(g, sig)
+            return v.atom_values.get(key, v.default_of(g.pred))
+        if isinstance(g, Neg):
+            return 1 - value(g.body)
+        if isinstance(g, Cond):
+            return min(F(1), 1 - value(g.lhs) + value(g.rhs))
+        bound = g.var in free_vars(g.body)
+
+        def instance(t):
+            return value(substitute(g.body, g.var, t) if bound else g.body)
+
+        explicit = [instance(t) for t in relevant_terms(g.body)]
+        tail = instance(Const("$tail"))
+        if v.mode == SUP:
+            return max(explicit + [tail])
+        return F(1) if tail > 0 else min(F(1), sum(explicit, F(0)))
+
+    return value(f)
+
+
+@st.composite
+def fun_sentences(draw, depth=5, max_nest=3):
+    """Sentences over FUN_SIG with up to ``max_nest`` nested Ex.  Binders
+    are drawn from x, y, z whether or not they are in scope, so binders
+    shadow and go vacuous; atom terms are base terms or bound variables,
+    bare or under f, the redex g(f(.)) or the naming h."""
+
+    def term(bound):
+        leaves = ["a", "b"] + list(bound)
+        t = draw(st.sampled_from(leaves))
+        return draw(
+            st.sampled_from([t, f"f({t})", f"g(f({t}))", f"g(f(f({t})))", f"h({t})"])
+        )
+
+    def formula(d, bound, nest):
+        kinds = ["atom"] + (["neg", "cond"] if d > 1 else [])
+        if d > 1 and nest < max_nest:
+            kinds.append("ex")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            pred = draw(st.sampled_from(["P", "Q", "R"]))
+            return "R" if pred == "R" else f"{pred}({term(bound)})"
+        if kind == "neg":
+            return f"~({formula(d - 1, bound, nest)})"
+        if kind == "cond":
+            lhs = formula(d - 1, bound, nest)
+            return f"({lhs} -> {formula(d - 1, bound, nest)})"
+        var = draw(var_names)
+        inner = bound if var in bound else bound + (var,)
+        return f"(Ex {var} ({formula(d - 1, inner, nest + 1)}))"
+
+    return formula(depth, (), 0)
+
+
+fun_valuations = st.tuples(
+    st.dictionaries(
+        st.sampled_from(["P(a)", "Q(b)", "P(f(a))", "Q(g(f(b)))", "P(f(f(b)))", "R"]),
+        unit_values,
+        max_size=4,
+    ),
+    st.tuples(st.one_of(st.just(F(0)), unit_values), unit_values),
+)
+
+
+class TestEnvironmentEvaluation:
+    @given(fun_valuations, fun_sentences())
+    # shadowed binders whose shadowed terms name sentences
+    @example(({}, (F(0), F(0))), "Ex x (Q(f(b)) -> Ex y (Q(x) -> Ex x P(h(x))))")
+    @example(({}, (F(0), F(0))), "Ex x (P(f(x)) -> Ex x Q(h(x)))")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_substitution_reference(self, valuation, text):
+        atoms, (p_default, q_default) = valuation
+        for mode in (SUM, SUP):
+            runs = []
+            for evaluate in (eval_formula, reference_value):
+                sig = load_signature(FUN_SIG)
+                v = Valuation(
+                    sig,
+                    mode=mode,
+                    atom_values={parse_formula(a, sig): q for a, q in atoms.items()},
+                    predicate_defaults={"P": p_default, "Q": q_default},
+                )
+                value = evaluate(v, parse_formula(text, sig))
+                runs.append((value, list(sig.naming_scheme.items())))
+            assert runs[0] == runs[1]
 
 
 # -- parametric consistency ---------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mqlogic.derivations import liar_signature
+from mqlogic.derivations import liar_signature, truth_coding_signature
 from mqlogic.multiset import OMEGA, OmegaMultiset, Sequent
 from mqlogic.semantics import (
     INFINITE,
@@ -28,9 +28,12 @@ from mqlogic.syntax import (
     Const,
     Exists,
     Neg,
+    Numeral,
     Signature,
     Var,
+    load_signature,
     parse_formula,
+    render_term,
 )
 
 
@@ -144,6 +147,73 @@ class TestQuantifier:
         explicit, tail = instance_values(v, Atom("P", (Var("x"),)), "x")
         assert tail == F(1, 2)
         assert all(val == F(1, 2) for _, val in explicit)
+
+
+    def test_instance_values_redex_representatives(self):
+        # each normal form keeps its first-seen term, here a redex of the
+        # body, and the explicit part is sorted by rendering
+        sig = load_signature(
+            "pred P/1\npred Q/1\nconst a\nconst b\nfun f/1\nfun g/1\n"
+            "rewrite g(f(x)) => x\n"
+        )
+        v = Valuation(
+            sig,
+            mode=SUP,
+            atom_values={
+                parse_formula("P(g(f(a)))", sig): F(1, 2),
+                parse_formula("Q(f(b))", sig): F(1, 3),
+            },
+            predicate_defaults={"P": F(1, 4)},
+        )
+        body = parse_formula("P(g(f(x))) -> Q(g(f(f(f(b)))))", sig)
+        explicit, tail = instance_values(v, body, "x")
+        assert [(render_term(t), value) for t, value in explicit] == [
+            ("a", F(1, 2)),
+            ("b", F(3, 4)),
+            ("f(b)", F(3, 4)),
+            ("f(f(f(b)))", F(3, 4)),
+            ("g(f(f(f(b))))", F(3, 4)),
+        ]
+        assert tail == F(3, 4)
+
+    def test_open_nested_body_message(self, psig):
+        psig.add_predicate("Q", 1)
+        body = Exists(
+            "y", Cond(Atom("P", (Var("x"),)), Exists("x", Atom("Q", (Var("z"),))))
+        )
+        with pytest.raises(OpenFormulaError) as e:
+            instance_values(Valuation(psig), body, "x")
+        assert str(e.value) == (
+            "instance family needs at most one free variable: "
+            "Ex y (P(x) -> Ex x Q(z))"
+        )
+
+    @pytest.mark.parametrize(
+        "atoms, values",
+        [
+            ({}, {SUM: F(0), SUP: F(0)}),
+            ({0: F(2, 3), 3: F(4, 5)}, {SUM: F(1), SUP: F(8, 15)}),
+        ],
+    )
+    def test_names_created_while_evaluating(self, atoms, values):
+        # fm(n, 0) and fm(3, y) rewrite through tdot to quotes, so each
+        # new instance names a sentence and adds its code rule; values
+        # computed before a rule is added must stay valid after it
+        for mode, expected in values.items():
+            sig = truth_coding_signature()
+            sig.add_predicate("P", 1)
+            f = parse_formula("Ex x (P(fm(x, 0)) -> Ex y ~P(fm(3, y)))", sig)
+            v = Valuation(
+                sig,
+                mode=mode,
+                atom_values={Atom("P", (Numeral(k),)): q for k, q in atoms.items()},
+                predicate_defaults={"P": F(1)},
+            )
+            names = len(sig.naming_scheme)
+            assert eval_formula(v, f) == expected
+            assert len(sig.naming_scheme) == names + 9
+            assert eval_formula(v, f) == expected
+            assert len(sig.naming_scheme) == names + 9
 
 
 class TestSequentEvaluation:
