@@ -29,11 +29,14 @@ from .calculus import (
 )
 from .derivations import liar_signature, prop1_derivation, prop3_derivation
 from .fuzz import (
+    ZERO_DRAW,
     FuzzConfig,
     RULE_CHOICES,
+    common_scale,
+    draw_unit,
     existsr_value_instance,
     fuzz_rule,
-    sample_unit,
+    sound_premise_values,
 )
 from .multiset import OMEGA, Sequent
 from .piecewise import fixed_points, eval_parametric, piecewise_to_json
@@ -43,7 +46,6 @@ from .semantics import (
     SUP,
     TailSeq,
     Valuation,
-    ZERO,
     check_lemma1_instance,
     eval_formula,
     lemma1_conclusion_finite_oracle,
@@ -140,53 +142,36 @@ def repro_thm1(seed: int = 0, samples: int = 10_000) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _positive_unit(rng: random.Random, max_den: int) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(1, den), den)
+ONE_DRAW = (1, 1)
 
 
 def _lemma1_sample(
     rng: random.Random, combo: int, max_len: int, max_den: int
 ) -> tuple[TailSeq, TailSeq, TailSeq]:
-    """One hypothesis-satisfying triple.  ``combo`` picks the tail's
-    zero/positive pattern for the instance and succedent series."""
+    """One hypothesis-satisfying triple, in the integer unit of its draws.
+    ``combo`` picks the tail's zero/positive pattern for the instance and
+    succedent series."""
     chi_zero = combo in (0, 1)
     delta_zero = combo in (0, 2)
-
-    def delta_low(g: Fraction, c: Fraction) -> Fraction:
-        return ONE - min(ONE, (ONE - g) + (ONE - c))
-
-    n = rng.randint(0, max_len)
-    gammas, chis, deltas = [], [], []
-    for _ in range(n):
-        g = ONE if rng.random() < 0.15 else sample_unit(rng, max_den)
-        c = sample_unit(rng, max_den)
-        low = delta_low(g, c)
-        d = low + (ONE - low) * sample_unit(rng, max_den)
-        gammas.append(g)
-        chis.append(c)
-        deltas.append(d)
-    g_tail = ONE if rng.random() < 0.25 else sample_unit(rng, max_den)
-    if chi_zero:
-        c_tail = ZERO
-    else:
-        c_tail = _positive_unit(rng, max_den)
-    low = delta_low(g_tail, c_tail)
+    rows = []
+    for _ in range(rng.randint(0, max_len)):
+        g = ONE_DRAW if rng.random() < 0.15 else draw_unit(rng, max_den)
+        rows.append((g, draw_unit(rng, max_den), draw_unit(rng, max_den)))
+    g_tail = ONE_DRAW if rng.random() < 0.25 else draw_unit(rng, max_den)
+    c_tail = ZERO_DRAW if chi_zero else draw_unit(rng, max_den, low=1)
+    # a positive succedent tail takes a positive slack above the hypothesis
+    # bound, unless the bound is 1: then both tail values are 1
+    slack = ZERO_DRAW
+    if not delta_zero and not (g_tail[0] == g_tail[1] and c_tail[0] == c_tail[1]):
+        slack = draw_unit(rng, max_den, low=1)
+    rows.append((g_tail, c_tail, slack))
+    one = common_scale([v for row in rows for v in row], square=True)
+    gs, cs, ds = sound_premise_values(rows, one)
     if delta_zero:
         # force the tail hypothesis bound to zero, then take exactly zero
-        if low > 0:
-            g_tail = min(g_tail, ONE - c_tail)
-            low = delta_low(g_tail, c_tail)
-        d_tail = ZERO
-    else:
-        d_tail = low + (ONE - low) * _positive_unit(rng, max_den) if low < ONE else ONE
-        if d_tail == 0:
-            d_tail = Fraction(1, max_den)
-    return (
-        TailSeq(tuple(gammas), g_tail),
-        TailSeq(tuple(chis), c_tail),
-        TailSeq(tuple(deltas), d_tail),
-    )
+        gs[-1] = min(gs[-1], one - cs[-1])
+        ds[-1] = 0
+    return tuple(TailSeq(tuple(vs[:-1]), vs[-1], one) for vs in (gs, cs, ds))
 
 
 def repro_lemma1(
@@ -216,8 +201,8 @@ def repro_lemma1(
                 {
                     "index": i,
                     "kind": "conclusion violated",
-                    "lhs": str(result.lhs),
-                    "rhs": str(result.rhs),
+                    "lhs": str(Fraction(result.lhs, gamma.one)),
+                    "rhs": str(Fraction(result.rhs, gamma.one)),
                 }
             )
         oracle = lemma1_conclusion_finite_oracle(gamma, chi, delta)
@@ -434,24 +419,34 @@ def repro_vacuous_compare(seed: int = 0, depth: int = 4) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+_RUNNERS = {  # id -> (runner, the size argument it takes)
+    "thm1": (repro_thm1, "samples"),
+    "lemma1": (repro_lemma1, "samples"),
+    "thm2-fuzz": (repro_thm2_fuzz, "samples"),
+    "prop1": (repro_prop1, "depth"),
+    "prop2": (repro_prop2, None),
+    "prop3": (repro_prop3, "depth"),
+    "vacuous-compare": (repro_vacuous_compare, "depth"),
+}
+
+
 def run_experiment(
     exp_id: str,
     seed: int = 0,
     samples: Optional[int] = None,
     depth: Optional[int] = None,
 ) -> ExperimentResult:
-    if exp_id == "thm1":
-        return repro_thm1(seed, samples or 10_000)
-    if exp_id == "lemma1":
-        return repro_lemma1(seed, samples or 10_000)
-    if exp_id == "thm2-fuzz":
-        return repro_thm2_fuzz(seed, samples or 10_000)
-    if exp_id == "prop1":
-        return repro_prop1(seed, depth or 8)
-    if exp_id == "prop2":
-        return repro_prop2(seed)
-    if exp_id == "prop3":
-        return repro_prop3(seed, depth or 4)
-    if exp_id == "vacuous-compare":
-        return repro_vacuous_compare(seed, depth or 4)
-    raise ValueError(f"unknown experiment id '{exp_id}' (choose from {EXPERIMENT_IDS})")
+    """Run one experiment.  ``samples`` and ``depth`` default to the
+    experiment's own when None; an experiment ignores the one it does not
+    take."""
+    sizes = {"samples": samples, "depth": depth}
+    for name, value in sizes.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if exp_id not in _RUNNERS:
+        raise ValueError(
+            f"unknown experiment id '{exp_id}' (choose from {EXPERIMENT_IDS})"
+        )
+    run, size_arg = _RUNNERS[exp_id]
+    size = sizes.get(size_arg)
+    return run(seed) if size is None else run(seed, size)

@@ -4,7 +4,8 @@ Rules are fuzzed at the value level: a premise or conclusion context is
 summarised by the multiset of values of its member formulas (with finite
 or omega multiplicities), which is exactly what the soundness inequality
 consumes.  Quantifier instance families are sampled as explicit prefixes
-plus constant tails.  All arithmetic is exact.
+plus constant tails.  All arithmetic is exact: each sample runs on
+integer numerators over one common scale.
 
 A small syntactic derivation generator (propositional rules over a toy
 signature) supports end-to-end checks: generated derivations must pass
@@ -16,12 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Callable, Iterable, Optional
 
 from .calculus import Derivation
 from .multiset import OMEGA, Multiplicity, Sequent
 from .semantics import (
-    FRACTIONS,
     ONE,
     SUM,
     SUP,
@@ -29,7 +30,10 @@ from .semantics import (
     Valuation,
     ZERO,
     check_lemma1_instance,
+    cond_value,
     exists_value,
+    hypothesis_bound,
+    neg_value,
     value_sequent_sound,
 )
 from .syntax import Atom, Cond, Const, Formula, Neg, Signature
@@ -56,8 +60,14 @@ class FuzzConfig:
     rule: str = "ExistsRw"
 
     def __post_init__(self) -> None:
-        if self.samples < 1 or self.max_denominator < 1:
-            raise ValueError("bounds must be >= 1")
+        for name, least in (
+            ("samples", 1),
+            ("max_denominator", 1),
+            ("max_context_size", 0),
+            ("max_family_prefix", 0),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.mode not in (SUP, SUM):
             raise ValueError(f"mode must be '{SUP}' or '{SUM}'")
         if self.rule not in RULE_CHOICES:
@@ -90,192 +100,205 @@ class FuzzOutcome:
 
 # ---------------------------------------------------------------------------
 # Value-level contexts
+#
+# A sampler makes all its random draws first, each unit value as a
+# (numerator, denominator) pair, and then judges the sample over one
+# integer scale: the lcm of the denominators it drew (squared where a
+# product of two values must stay exact).  A value is then its numerator
+# over that scale, and the clauses run on Python ints.
 
 
-ValueEntry = tuple[Fraction, Multiplicity]
+Draw = tuple[int, int]  # a sampled unit value: (numerator, denominator)
+ZERO_DRAW: Draw = (0, 1)
+
+
+def draw_unit(rng: random.Random, max_denominator: int, low: int = 0) -> Draw:
+    den = rng.randint(1, max_denominator)
+    return rng.randint(low, den), den
 
 
 def sample_unit(rng: random.Random, max_denominator: int) -> Fraction:
-    den = rng.randint(1, max_denominator)
-    return Fraction(rng.randint(0, den), den)
+    return Fraction(*draw_unit(rng, max_denominator))
 
 
-def sample_context(rng: random.Random, cfg: FuzzConfig) -> list[ValueEntry]:
+def draw_context(
+    rng: random.Random, cfg: FuzzConfig
+) -> list[tuple[Draw, Multiplicity]]:
     size = rng.randint(0, cfg.max_context_size)
-    out: list[ValueEntry] = []
+    out = []
     for _ in range(size):
         mult: Multiplicity = OMEGA if rng.random() < 0.10 else rng.randint(1, 3)
-        out.append((sample_unit(rng, cfg.max_denominator), mult))
+        out.append((draw_unit(rng, cfg.max_denominator), mult))
     return out
 
 
-def _entries_json(entries: list[ValueEntry]) -> list[list]:
-    return [[str(v), "w" if m is OMEGA else m] for v, m in entries]
+def common_scale(draws: Iterable[Draw], square: bool = False) -> int:
+    scale = lcm(*{den for _, den in draws})
+    return scale * scale if square else scale
+
+
+def over(one: int, draw: Draw) -> int:
+    """The draw's numerator over the scale ``one``."""
+    num, den = draw
+    return num * (one // den)
+
+
+def _text(num: int, den: int) -> str:
+    return str(Fraction(num, den))
+
+
+def _entries_json(entries: list[tuple[Draw, Multiplicity]]) -> list[list]:
+    return [[_text(*v), "w" if m is OMEGA else m] for v, m in entries]
 
 
 def existsr_value_instance(
-    gamma: list[ValueEntry],
-    delta: list[ValueEntry],
-    explicit: list[Fraction],
-    tail: Fraction,
-    mode: str,
+    gamma: list, delta: list, explicit: list, tail, mode: str, one=ONE
 ) -> tuple[bool, bool]:
     """(premise sound, conclusion sound) for a right-quantifier instance
     whose premise succedent carries the full instance family."""
     prem_suc = delta + [(v, 1) for v in explicit] + [(tail, OMEGA)]
-    premise_sound = value_sequent_sound(gamma, prem_suc)
-    v_ex = exists_value(explicit, tail, mode)
-    conclusion_sound = value_sequent_sound(gamma, delta + [(v_ex, 1)])
+    premise_sound = value_sequent_sound(gamma, prem_suc, one)
+    v_ex = exists_value(explicit, tail, mode, one)
+    conclusion_sound = value_sequent_sound(gamma, delta + [(v_ex, 1)], one)
     return premise_sound, conclusion_sound
 
 
+def sound_premise_values(
+    rows: list[tuple[Draw, Draw, Draw]], one: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Per row (g, c, slack): g and c over ``one``, and the d that lies the
+    slack's share of the way from the hypothesis bound of (g, c) up to 1.
+    ``one`` must be the square of a multiple of every denominator drawn,
+    so that d is exact."""
+    gs, cs, ds = [], [], []
+    for g, c, slack in rows:
+        g, c = over(one, g), over(one, c)
+        low = hypothesis_bound(g, c, one)
+        gs.append(g)
+        cs.append(c)
+        ds.append(low + (one - low) * over(one, slack) // one)
+    return gs, cs, ds
+
+
 # ---------------------------------------------------------------------------
-# Per-rule samplers: (premises_sound, conclusion_sound, payload)
+# Per-rule samplers: (premises_sound, conclusion_sound, payload), where
+# payload() builds the evidence of a violating sample
 
 
-def _sample_init(rng, cfg) -> tuple[bool, bool, dict]:
-    gamma = sample_context(rng, cfg)
-    delta = sample_context(rng, cfg)
-    a = sample_unit(rng, cfg.max_denominator)
-    sound = value_sequent_sound(gamma + [(a, 1)], delta + [(a, 1)])
-    return True, sound, {
-        "gamma": _entries_json(gamma),
-        "delta": _entries_json(delta),
-        "a": str(a),
-    }
+def _contexts_and_units(judge, contexts: tuple[str, ...], units: tuple[str, ...]):
+    """The sampler that draws the named contexts, then the named unit
+    values, and calls ``judge(one, *contexts, *units)`` over their scale."""
+
+    def sample(rng, cfg):
+        ctxs = [draw_context(rng, cfg) for _ in contexts]
+        vals = [draw_unit(rng, cfg.max_denominator) for _ in units]
+        one = common_scale([v for ctx in ctxs for v, _ in ctx] + vals)
+        prem, concl = judge(
+            one,
+            *([(over(one, v), m) for v, m in ctx] for ctx in ctxs),
+            *(over(one, v) for v in vals),
+        )
+
+        def payload() -> dict:
+            out = {k: _entries_json(ctx) for k, ctx in zip(contexts, ctxs)}
+            return out | {k: _text(*v) for k, v in zip(units, vals)}
+
+        return prem, concl, payload
+
+    return sample
 
 
-def _sample_negl(rng, cfg) -> tuple[bool, bool, dict]:
-    gamma = sample_context(rng, cfg)
-    delta = sample_context(rng, cfg)
-    a = sample_unit(rng, cfg.max_denominator)
-    prem = value_sequent_sound(gamma, delta + [(a, 1)])
-    concl = value_sequent_sound(gamma + [(FRACTIONS.neg(a), 1)], delta)
-    return prem, concl, {
-        "gamma": _entries_json(gamma),
-        "delta": _entries_json(delta),
-        "a": str(a),
-    }
+def _init(one, gamma, delta, a):
+    return True, value_sequent_sound(gamma + [(a, 1)], delta + [(a, 1)], one)
 
 
-def _sample_negr(rng, cfg) -> tuple[bool, bool, dict]:
-    gamma = sample_context(rng, cfg)
-    delta = sample_context(rng, cfg)
-    a = sample_unit(rng, cfg.max_denominator)
-    prem = value_sequent_sound(gamma + [(a, 1)], delta)
-    concl = value_sequent_sound(gamma, delta + [(FRACTIONS.neg(a), 1)])
-    return prem, concl, {
-        "gamma": _entries_json(gamma),
-        "delta": _entries_json(delta),
-        "a": str(a),
-    }
+def _negl(one, gamma, delta, a):
+    prem = value_sequent_sound(gamma, delta + [(a, 1)], one)
+    return prem, value_sequent_sound(gamma + [(neg_value(a, one), 1)], delta, one)
 
 
-def _sample_condr(rng, cfg) -> tuple[bool, bool, dict]:
-    gamma = sample_context(rng, cfg)
-    delta = sample_context(rng, cfg)
-    a = sample_unit(rng, cfg.max_denominator)
-    b = sample_unit(rng, cfg.max_denominator)
-    prem = value_sequent_sound(gamma + [(a, 1)], delta + [(b, 1)])
-    cond = FRACTIONS.cond(a, b)
-    concl = value_sequent_sound(gamma, delta + [(cond, 1)])
-    return prem, concl, {
-        "gamma": _entries_json(gamma),
-        "delta": _entries_json(delta),
-        "a": str(a),
-        "b": str(b),
-    }
+def _negr(one, gamma, delta, a):
+    prem = value_sequent_sound(gamma + [(a, 1)], delta, one)
+    return prem, value_sequent_sound(gamma, delta + [(neg_value(a, one), 1)], one)
 
 
-def _sample_condl(rng, cfg) -> tuple[bool, bool, dict]:
-    gamma = sample_context(rng, cfg)
-    delta = sample_context(rng, cfg)
-    gamma2 = sample_context(rng, cfg)
-    delta2 = sample_context(rng, cfg)
-    a = sample_unit(rng, cfg.max_denominator)
-    b = sample_unit(rng, cfg.max_denominator)
-    prem0 = value_sequent_sound(gamma, delta + [(a, 1)])
-    prem1 = value_sequent_sound(gamma2 + [(b, 1)], delta2)
-    cond = FRACTIONS.cond(a, b)
-    concl = value_sequent_sound(
-        gamma + gamma2 + [(cond, 1)], delta + delta2
-    )
-    return prem0 and prem1, concl, {
-        "gamma": _entries_json(gamma),
-        "delta": _entries_json(delta),
-        "gamma2": _entries_json(gamma2),
-        "delta2": _entries_json(delta2),
-        "a": str(a),
-        "b": str(b),
-    }
+def _condr(one, gamma, delta, a, b):
+    prem = value_sequent_sound(gamma + [(a, 1)], delta + [(b, 1)], one)
+    cond = cond_value(a, b, one)
+    return prem, value_sequent_sound(gamma, delta + [(cond, 1)], one)
 
 
-def _sample_family(rng, cfg) -> tuple[list[Fraction], Fraction]:
+def _condl(one, gamma, delta, gamma2, delta2, a, b):
+    prem0 = value_sequent_sound(gamma, delta + [(a, 1)], one)
+    prem1 = value_sequent_sound(gamma2 + [(b, 1)], delta2, one)
+    cond = cond_value(a, b, one)
+    concl = value_sequent_sound(gamma + gamma2 + [(cond, 1)], delta + delta2, one)
+    return prem0 and prem1, concl
+
+
+def _sample_existsr(rng, cfg) -> tuple[bool, bool, Callable[[], dict]]:
+    gamma, delta = draw_context(rng, cfg), draw_context(rng, cfg)
     prefix = rng.randint(0, cfg.max_family_prefix)
-    explicit = [sample_unit(rng, cfg.max_denominator) for _ in range(prefix)]
+    explicit = [draw_unit(rng, cfg.max_denominator) for _ in range(prefix)]
     # half the tails sit exactly at 0 so both convergent and divergent
     # series appear
-    tail = ZERO if rng.random() < 0.5 else sample_unit(rng, cfg.max_denominator)
-    return explicit, tail
-
-
-def _sample_existsr(rng, cfg) -> tuple[bool, bool, dict]:
-    gamma = sample_context(rng, cfg)
-    delta = sample_context(rng, cfg)
-    explicit, tail = _sample_family(rng, cfg)
-    prem, concl = existsr_value_instance(gamma, delta, explicit, tail, cfg.mode)
-    return prem, concl, {
+    tail = ZERO_DRAW if rng.random() < 0.5 else draw_unit(rng, cfg.max_denominator)
+    one = common_scale([v for v, _ in gamma + delta] + explicit + [tail])
+    prem, concl = existsr_value_instance(
+        [(over(one, v), m) for v, m in gamma],
+        [(over(one, v), m) for v, m in delta],
+        [over(one, v) for v in explicit],
+        over(one, tail),
+        cfg.mode,
+        one,
+    )
+    return prem, concl, lambda: {
         "gamma": _entries_json(gamma),
         "delta": _entries_json(delta),
-        "instances": [str(v) for v in explicit],
-        "tail": str(tail),
+        "instances": [_text(*v) for v in explicit],
+        "tail": _text(*tail),
     }
 
 
-def _sample_existsl(rng, cfg) -> tuple[bool, bool, dict]:
+def _sample_existsl(rng, cfg) -> tuple[bool, bool, Callable[[], dict]]:
     """Premise i is summarised by a triple (context value, instance value,
     succedent value) constrained to be sound; the conclusion folds the
     three series through the quantifier clause."""
+    max_den = cfg.max_denominator
     prefix = rng.randint(0, cfg.max_family_prefix)
-
-    def delta_for(g: Fraction, c: Fraction) -> Fraction:
-        low = ONE - min(ONE, (ONE - g) + (ONE - c))
-        slack = sample_unit(rng, cfg.max_denominator)
-        return low + (ONE - low) * slack
-
-    gammas, chis, deltas = [], [], []
-    for _ in range(prefix):
-        g = sample_unit(rng, cfg.max_denominator)
-        c = sample_unit(rng, cfg.max_denominator)
-        gammas.append(g)
-        chis.append(c)
-        deltas.append(delta_for(g, c))
-    g_tail = sample_unit(rng, cfg.max_denominator)
-    c_tail = ZERO if rng.random() < 0.5 else sample_unit(rng, cfg.max_denominator)
-    d_tail = delta_for(g_tail, c_tail)
-    prem = check_lemma1_instance(
-        TailSeq(tuple(gammas), g_tail),
-        TailSeq(tuple(chis), c_tail),
-        TailSeq(tuple(deltas), d_tail),
-    ).hypothesis_all
-    v_ex = exists_value(chis, c_tail, cfg.mode)
-    concl = value_sequent_sound(
-        [(g, 1) for g in gammas] + [(g_tail, OMEGA), (v_ex, 1)],
-        [(d, 1) for d in deltas] + [(d_tail, OMEGA)],
+    rows = [
+        (draw_unit(rng, max_den), draw_unit(rng, max_den), draw_unit(rng, max_den))
+        for _ in range(prefix)
+    ]
+    g_tail = draw_unit(rng, max_den)
+    c_tail = ZERO_DRAW if rng.random() < 0.5 else draw_unit(rng, max_den)
+    rows.append((g_tail, c_tail, draw_unit(rng, max_den)))
+    one = common_scale([v for row in rows for v in row], square=True)
+    gamma, chi, delta = (
+        TailSeq(tuple(vs[:-1]), vs[-1], one) for vs in sound_premise_values(rows, one)
     )
-    return prem, concl, {
-        "gamma": [str(v) for v in gammas] + [f"tail {g_tail}"],
-        "chi": [str(v) for v in chis] + [f"tail {c_tail}"],
-        "delta": [str(v) for v in deltas] + [f"tail {d_tail}"],
-    }
+    prem = check_lemma1_instance(gamma, chi, delta).hypothesis_all
+    v_ex = exists_value(list(chi.explicit), chi.tail, cfg.mode, one)
+    concl = value_sequent_sound(gamma.entries() + [(v_ex, 1)], delta.entries(), one)
+
+    def payload() -> dict:
+        return {
+            key: [_text(v, one) for v in seq.explicit]
+            + [f"tail {_text(seq.tail, one)}"]
+            for key, seq in (("gamma", gamma), ("chi", chi), ("delta", delta))
+        }
+
+    return prem, concl, payload
 
 
 _SAMPLERS = {
-    "Init": _sample_init,
-    "NegL": _sample_negl,
-    "NegR": _sample_negr,
-    "CondR": _sample_condr,
-    "CondL": _sample_condl,
+    "Init": _contexts_and_units(_init, ("gamma", "delta"), ("a",)),
+    "NegL": _contexts_and_units(_negl, ("gamma", "delta"), ("a",)),
+    "NegR": _contexts_and_units(_negr, ("gamma", "delta"), ("a",)),
+    "CondR": _contexts_and_units(_condr, ("gamma", "delta"), ("a", "b")),
+    "CondL": _contexts_and_units(
+        _condl, ("gamma", "delta", "gamma2", "delta2"), ("a", "b")
+    ),
     "ExistsRw": _sample_existsr,
     "ExistsLw": _sample_existsl,
 }
@@ -290,7 +313,7 @@ def fuzz_rule(cfg: FuzzConfig) -> FuzzOutcome:
     for i in range(cfg.samples):
         prem, concl, payload = sampler(rng, cfg)
         if prem and not concl:
-            return FuzzOutcome(cfg.rule, cfg.mode, cfg.seed, i + 1, i, payload)
+            return FuzzOutcome(cfg.rule, cfg.mode, cfg.seed, i + 1, i, payload())
     return FuzzOutcome(cfg.rule, cfg.mode, cfg.seed, cfg.samples)
 
 

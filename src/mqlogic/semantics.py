@@ -10,7 +10,10 @@ finite sum or diverge and clamp to 1.
 Each clause is written once, in a formula walker over a small value
 algebra: ``eval_formula`` runs it over exact rationals and
 ``piecewise.eval_parametric`` over piecewise-affine functions of one
-unknown atom value.
+unknown atom value.  The value clauses (negation, the conditional, the
+existential, side sums and sequent soundness) take the unit ``one``:
+``ONE`` for rationals, or an integer scale for values given as integer
+numerators over it, which is how the samplers run them.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ class UngroundedError(SemanticsError):
     """Transparent unfolding exhausted its budget: a liar-like cycle."""
 
 
-def unit(q: Fraction) -> Fraction:
-    if not (ZERO <= q <= ONE):
+def unit(q, one=ONE):
+    """``q`` checked to lie in [0, ``one``]."""
+    if not (0 <= q <= one):
         raise ValueError(f"value out of [0,1]: {q}")
     return q
 
@@ -107,15 +111,7 @@ class ExtendedSum:
         return self.finite
 
 
-SUM_ZERO = ExtendedSum(ZERO)
 INFINITE = ExtendedSum(None)
-
-
-def extended_sum(values: Iterable[Fraction]) -> ExtendedSum:
-    acc = SUM_ZERO
-    for v in values:
-        acc = acc.plus(ExtendedSum.of(v))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +307,23 @@ def _relevant_terms(state: _EvalState, body: Formula, env: Env) -> list[Term]:
 # The semantic clauses, written once over a value algebra
 
 
-def exists_value(explicit: list[Fraction], tail: Fraction, mode: str) -> Fraction:
+def exists_value(explicit: list, tail, mode: str, one=ONE):
     """The existential over an instance family (explicit values plus the
     common value of every other instance): the supremum, or the clamped
     series, which diverges as soon as the tail is positive."""
     if mode == SUP:
         return max(explicit + [tail]) if explicit else tail
     if tail > 0:
-        return ONE
-    return extended_sum(explicit).clamp1()
+        return one
+    return side_sum([(v, 1) for v in explicit], one=one)
+
+
+def neg_value(a, one=ONE):
+    return one - a
+
+
+def cond_value(a, b, one=ONE):
+    return one if a <= b else one - a + b
 
 
 def _no_unknown() -> Fraction:
@@ -342,8 +346,8 @@ class ValueAlgebra:
 FRACTIONS = ValueAlgebra(
     constant=lambda q: q,
     unknown=_no_unknown,
-    neg=lambda a: ONE - a,
-    cond=lambda a, b: ONE if a <= b else ONE - a + b,
+    neg=neg_value,
+    cond=cond_value,
     exists=exists_value,
 )
 
@@ -428,22 +432,31 @@ def instance_values(
 
 
 def side_sum(
-    entries: Iterable[tuple[Fraction, Multiplicity]], negate: bool = False
-) -> Fraction:
+    entries: Iterable[tuple[Any, Multiplicity]], negate: bool = False, one=ONE
+):
     """min(1, sum of the values, or of 1 - value with ``negate``), copies
     counted.  Omega copies of a positive term diverge and clamp to 1."""
-    acc = SUM_ZERO
+    total = ZERO if one is ONE else 0  # rationals in, a rational out
+    diverges = False
     for v, m in entries:
-        acc = acc.plus_copies(ONE - v if negate else v, m)
-    return acc.clamp1()
+        if negate:
+            v = one - v
+        if v < 0:
+            raise ValueError("extended sums are nonnegative")
+        if m is OMEGA:
+            diverges = diverges or v > 0
+        else:
+            total += v if m == 1 else v * m
+    return one if diverges or total >= one else total
 
 
 def value_sequent_sound(
-    ant: Iterable[tuple[Fraction, Multiplicity]],
-    suc: Iterable[tuple[Fraction, Multiplicity]],
+    ant: Iterable[tuple[Any, Multiplicity]],
+    suc: Iterable[tuple[Any, Multiplicity]],
+    one=ONE,
 ) -> bool:
     """Soundness over member values: 1 - side_sum(ant, negate) <= side_sum(suc)."""
-    return ONE - side_sum(ant, negate=True) <= side_sum(suc)
+    return one - side_sum(ant, True, one) <= side_sum(suc, one=one)
 
 
 def _side_values(valuation: Valuation, ms: OmegaMultiset):
@@ -479,32 +492,31 @@ def sequent_sound(valuation: Valuation, s: Sequent) -> bool:
 
 @dataclass(frozen=True)
 class TailSeq:
-    """An omega-sequence of unit values: explicit prefix + constant tail."""
+    """An omega-sequence of unit values: explicit prefix + constant tail,
+    in the unit ``one``."""
 
-    explicit: tuple[Fraction, ...]
-    tail: Fraction
+    explicit: tuple
+    tail: Any
+    one: Any = ONE
 
     def __post_init__(self) -> None:
-        for v in self.explicit:
-            unit(v)
-        unit(self.tail)
+        values = (*self.explicit, self.tail)
+        unit(min(values), self.one)
+        unit(max(values), self.one)
 
-    def at(self, i: int) -> Fraction:
-        return self.explicit[i] if i < len(self.explicit) else self.tail
+    def prefix(self, n: int) -> tuple:
+        """The first ``n`` values."""
+        return (self.explicit + (self.tail,) * n)[:n]
 
-    def series(self, transform=lambda v: v) -> ExtendedSum:
-        """Sum of transform(v_i) over all omega indices."""
-        acc = extended_sum(transform(v) for v in self.explicit)
-        t = transform(self.tail)
-        if t < 0:
-            raise ValueError("series terms must be nonnegative")
-        if t > 0:
-            return INFINITE
-        return acc
+    def entries(self) -> list:
+        """Side entries: each explicit value once, the tail omega times."""
+        return [(v, 1) for v in self.explicit] + [(self.tail, OMEGA)]
 
 
-def _index_hypothesis(g: Fraction, c: Fraction, d: Fraction) -> bool:
-    return ONE - min(ONE, (ONE - g) + (ONE - c)) <= d
+def hypothesis_bound(g, c, one=ONE):
+    """The least d_i for which index i of the omega-premise left rule's
+    hypothesis holds: 1 - min(1, (1-g_i) + (1-c_i))."""
+    return one - min(one, (one - g) + (one - c))
 
 
 @dataclass(frozen=True)
@@ -512,8 +524,8 @@ class SeriesCheck:
     hypothesis_explicit: tuple[bool, ...]
     hypothesis_tail: bool
     conclusion_holds: bool
-    lhs: Fraction
-    rhs: Fraction
+    lhs: Any  # in the unit of the checked sequences
+    rhs: Any
 
     @property
     def hypothesis_all(self) -> bool:
@@ -526,18 +538,22 @@ def check_lemma1_instance(gamma: TailSeq, chi: TailSeq, delta: TailSeq) -> Serie
 
     Hypothesis at index i: 1 - min(1, (1-g_i) + (1-c_i)) <= d_i.
     Conclusion: 1 - min(1, sum(1-g_i) + (1 - min(1, sum c_i))) <= min(1, sum d_i),
-    with the three series evaluated exactly as extended sums.
+    with the three series evaluated exactly: the soundness of the sequent
+    gamma, Ex chi |- delta under the sum clause.  The three sequences must
+    share one unit.
     """
+    one = gamma.one
+    if chi.one != one or delta.one != one:
+        raise ValueError("the sequences must share one unit")
     n = max(len(gamma.explicit), len(chi.explicit), len(delta.explicit))
     hyp = tuple(
-        _index_hypothesis(gamma.at(i), chi.at(i), delta.at(i)) for i in range(n)
+        hypothesis_bound(g, c, one) <= d
+        for g, c, d in zip(gamma.prefix(n), chi.prefix(n), delta.prefix(n))
     )
-    hyp_tail = _index_hypothesis(gamma.tail, chi.tail, delta.tail)
-    s_gaps = gamma.series(lambda v: ONE - v)
-    s_chi = chi.series()
-    s_delta = delta.series()
-    lhs = ONE - s_gaps.plus(ExtendedSum.of(ONE - s_chi.clamp1())).clamp1()
-    rhs = s_delta.clamp1()
+    hyp_tail = hypothesis_bound(gamma.tail, chi.tail, one) <= delta.tail
+    ex_chi = exists_value(list(chi.explicit), chi.tail, SUM, one)
+    lhs = one - side_sum(gamma.entries() + [(ex_chi, 1)], True, one)
+    rhs = side_sum(delta.entries(), one=one)
     return SeriesCheck(hyp, hyp_tail, lhs <= rhs, lhs, rhs)
 
 
@@ -612,14 +628,16 @@ def lemma1_conclusion_finite_oracle(
     """Naive finite-sum recomputation of the conclusion inequality.
 
     Only defined when all three series converge (every tail contribution
-    vanishes); returns None otherwise.  Independent of the ExtendedSum
-    path: plain rational sums and comparisons.
+    vanishes); returns None otherwise.  Independent of ``side_sum``: plain
+    rational sums and comparisons, whatever unit the sequences are in.
     """
-    if gamma.tail != 1 or chi.tail != 0 or delta.tail != 0:
+    one = gamma.one
+    if gamma.tail != one or chi.tail != 0 or delta.tail != 0:
         return None
-    s_gaps = sum((1 - v for v in gamma.explicit), Fraction(0))
-    s_chi = sum(chi.explicit, Fraction(0))
-    s_delta = sum(delta.explicit, Fraction(0))
+    g, c, d = ([Fraction(v, one) for v in s.explicit] for s in (gamma, chi, delta))
+    s_gaps = sum((1 - v for v in g), Fraction(0))
+    s_chi = sum(c, Fraction(0))
+    s_delta = sum(d, Fraction(0))
     lhs = 1 - min(Fraction(1), s_gaps + (1 - min(Fraction(1), s_chi)))
     rhs = min(Fraction(1), s_delta)
     return lhs <= rhs

@@ -183,6 +183,19 @@ class TestFuzzCommand:
         assert code == 0
         assert json.loads(out)["seed"] == 123
 
+    @pytest.mark.parametrize(
+        "option, field",
+        [
+            ("--max-context-size=-2", "max_context_size"),
+            ("--max-family-prefix=-1", "max_family_prefix"),
+        ],
+    )
+    def test_negative_bound_exit_2(self, capsys, option, field):
+        code = main(["fuzz", "--rule", "Init", "--samples", "10", option])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{field} must be >= 0" in err
+
 
 class TestSolveSelfref:
     def test_liar(self, capsys, tmp_path, liar_sig):
@@ -221,3 +234,18 @@ class TestRepro:
         assert code == 0
         data = json.loads(out)
         assert data["evidence"]["randomSearch"]["violationIndex"] is not None
+
+    @pytest.mark.parametrize(
+        "exp_id, option, value",
+        [
+            ("lemma1", "--samples", "0"),
+            ("lemma1", "--samples", "-3"),
+            ("prop1", "--depth", "-1"),
+        ],
+    )
+    def test_size_below_one_exit_2(self, capsys, exp_id, option, value):
+        code = main(["repro", exp_id, option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{option[2:]} must be >= 1, got {value}" in captured.err

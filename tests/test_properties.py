@@ -7,22 +7,32 @@ adaptive inputs, plus the seeded confluence and absorption sweeps.
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mqlogic.derivations import prop1_derivation, truth_coding_signature
+from mqlogic.experiments import _lemma1_sample
+from mqlogic.fuzz import _SAMPLERS, RULE_CHOICES, FuzzConfig, sample_unit
 from mqlogic.multiset import OMEGA, FormulaFamily, OmegaMultiset, SequentSide
 from mqlogic.piecewise import eval_parametric, piecewise_to_json
 from mqlogic.semantics import (
+    INFINITE,
     SUM,
     SUP,
+    ExtendedSum,
+    TailSeq,
     Valuation,
+    check_lemma1_instance,
     eval_formula,
     eval_antecedent,
     eval_succedent,
     exists_value,
     instance_values,
+    lemma1_conclusion_finite_oracle,
+    side_sum,
+    value_sequent_sound,
 )
 from mqlogic.syntax import (
     App,
@@ -456,6 +466,276 @@ class TestEnvironmentEvaluation:
                 value = evaluate(v, parse_formula(text, sig))
                 runs.append((value, list(sig.naming_scheme.items())))
             assert runs[0] == runs[1]
+
+
+# -- differential: integer-scaled value clauses against Fraction references --
+
+# The value clauses as they were written for Fractions alone, before they
+# took a unit, over ExtendedSum.
+
+
+def ref_extended_sum(values):
+    acc = ExtendedSum(F(0))
+    for v in values:
+        acc = acc.plus(ExtendedSum.of(v))
+    return acc
+
+
+def ref_exists_value(explicit, tail, mode):
+    if mode == SUP:
+        return max(explicit + [tail]) if explicit else tail
+    if tail > 0:
+        return F(1)
+    return ref_extended_sum(explicit).clamp1()
+
+
+def ref_side_sum(entries, negate=False):
+    acc = ExtendedSum(F(0))
+    for v, m in entries:
+        acc = acc.plus_copies(1 - v if negate else v, m)
+    return acc.clamp1()
+
+
+def ref_value_sequent_sound(ant, suc):
+    return 1 - ref_side_sum(ant, negate=True) <= ref_side_sum(suc)
+
+
+def ref_series(seq, transform=lambda v: v):
+    explicit, tail = seq
+    acc = ref_extended_sum(transform(v) for v in explicit)
+    return INFINITE if transform(tail) > 0 else acc
+
+
+def ref_check_lemma1_instance(gamma, chi, delta):
+    """Each sequence is (explicit values, tail); returns the SeriesCheck
+    fields in order."""
+
+    def at(seq, i):
+        return seq[0][i] if i < len(seq[0]) else seq[1]
+
+    def hypothesis(g, c, d):
+        return 1 - min(F(1), (1 - g) + (1 - c)) <= d
+
+    n = max(len(gamma[0]), len(chi[0]), len(delta[0]))
+    hyp = tuple(hypothesis(at(gamma, i), at(chi, i), at(delta, i)) for i in range(n))
+    hyp_tail = hypothesis(gamma[1], chi[1], delta[1])
+    s_gaps = ref_series(gamma, lambda v: 1 - v)
+    lhs = 1 - s_gaps.plus(ExtendedSum.of(1 - ref_series(chi).clamp1())).clamp1()
+    rhs = ref_series(delta).clamp1()
+    return hyp, hyp_tail, lhs <= rhs, lhs, rhs
+
+
+def ref_lemma1_sample(rng, combo, max_len, max_den):
+    """The lemma1 sampler as it was on Fractions."""
+
+    def positive_unit():
+        den = rng.randint(1, max_den)
+        return F(rng.randint(1, den), den)
+
+    def delta_low(g, c):
+        return 1 - min(F(1), (1 - g) + (1 - c))
+
+    gammas, chis, deltas = [], [], []
+    for _ in range(rng.randint(0, max_len)):
+        g = F(1) if rng.random() < 0.15 else sample_unit(rng, max_den)
+        c = sample_unit(rng, max_den)
+        low = delta_low(g, c)
+        gammas.append(g)
+        chis.append(c)
+        deltas.append(low + (1 - low) * sample_unit(rng, max_den))
+    g_tail = F(1) if rng.random() < 0.25 else sample_unit(rng, max_den)
+    c_tail = F(0) if combo in (0, 1) else positive_unit()
+    low = delta_low(g_tail, c_tail)
+    if combo in (0, 2):
+        if low > 0:
+            g_tail = min(g_tail, 1 - c_tail)
+        d_tail = F(0)
+    else:
+        d_tail = low + (1 - low) * positive_unit() if low < 1 else F(1)
+        if d_tail == 0:
+            d_tail = F(1, max_den)
+    return (gammas, g_tail), (chis, c_tail), (deltas, d_tail)
+
+
+def ref_rule_sample(rule, rng, cfg):
+    """The rule samplers as they were on Fractions: (premises sound,
+    conclusion sound, payload)."""
+
+    def unit():
+        return sample_unit(rng, cfg.max_denominator)
+
+    def context():
+        out = []
+        for _ in range(rng.randint(0, cfg.max_context_size)):
+            mult = OMEGA if rng.random() < 0.10 else rng.randint(1, 3)
+            out.append((unit(), mult))
+        return out
+
+    def text(entries):
+        return [[str(v), "w" if m is OMEGA else m] for v, m in entries]
+
+    def cond(a, b):
+        return F(1) if a <= b else 1 - a + b
+
+    sound = ref_value_sequent_sound
+    if rule == "ExistsLw":
+        prefix = rng.randint(0, cfg.max_family_prefix)
+        rows = [(unit(), unit(), unit()) for _ in range(prefix)]
+        g_tail = unit()
+        c_tail = F(0) if rng.random() < 0.5 else unit()
+        rows.append((g_tail, c_tail, unit()))
+        seqs = [[], [], []]
+        for g, c, slack in rows:
+            low = 1 - min(F(1), (1 - g) + (1 - c))
+            for seq, v in zip(seqs, (g, c, low + (1 - low) * slack)):
+                seq.append(v)
+        gammas, chis, deltas = ((vs[:-1], vs[-1]) for vs in seqs)
+        hyp, hyp_tail, *_ = ref_check_lemma1_instance(gammas, chis, deltas)
+        prem = all(hyp) and hyp_tail
+        v_ex = ref_exists_value(chis[0], chis[1], cfg.mode)
+        concl = sound(
+            [(g, 1) for g in gammas[0]] + [(gammas[1], OMEGA), (v_ex, 1)],
+            [(d, 1) for d in deltas[0]] + [(deltas[1], OMEGA)],
+        )
+        payload = {
+            key: [str(v) for v in seq[0]] + [f"tail {seq[1]}"]
+            for key, seq in (("gamma", gammas), ("chi", chis), ("delta", deltas))
+        }
+        return prem, concl, payload
+    gamma, delta = context(), context()
+    payload = {"gamma": text(gamma), "delta": text(delta)}
+    if rule == "ExistsRw":
+        explicit = [unit() for _ in range(rng.randint(0, cfg.max_family_prefix))]
+        tail = F(0) if rng.random() < 0.5 else unit()
+        prem = sound(gamma, delta + [(v, 1) for v in explicit] + [(tail, OMEGA)])
+        v_ex = ref_exists_value(explicit, tail, cfg.mode)
+        concl = sound(gamma, delta + [(v_ex, 1)])
+        payload |= {"instances": [str(v) for v in explicit], "tail": str(tail)}
+        return prem, concl, payload
+    if rule == "CondL":
+        gamma2, delta2 = context(), context()
+        payload |= {"gamma2": text(gamma2), "delta2": text(delta2)}
+    a = unit()
+    payload["a"] = str(a)
+    if rule in ("CondR", "CondL"):
+        b = unit()
+        payload["b"] = str(b)
+    if rule == "Init":
+        prem, concl = True, sound(gamma + [(a, 1)], delta + [(a, 1)])
+    elif rule == "NegL":
+        prem, concl = sound(gamma, delta + [(a, 1)]), sound(gamma + [(1 - a, 1)], delta)
+    elif rule == "NegR":
+        prem, concl = sound(gamma + [(a, 1)], delta), sound(gamma, delta + [(1 - a, 1)])
+    elif rule == "CondR":
+        prem = sound(gamma + [(a, 1)], delta + [(b, 1)])
+        concl = sound(gamma, delta + [(cond(a, b), 1)])
+    else:
+        prem = sound(gamma, delta + [(a, 1)]) and sound(gamma2 + [(b, 1)], delta2)
+        concl = sound(gamma + gamma2 + [(cond(a, b), 1)], delta + delta2)
+    return prem, concl, payload
+
+
+def over_one_scale(*groups):
+    """The unit ``one`` (lcm of the denominators) and each group's values as
+    integer numerators over it."""
+    one = lcm(*(v.denominator for group in groups for v in group))
+    return one, [[int(v * one) for v in group] for group in groups]
+
+
+# values at the boundaries come up often, and lists that sum exactly to 1
+boundary_units = st.one_of(st.just(F(0)), st.just(F(1)), unit_values)
+summing_to_one = st.lists(st.integers(1, 9), min_size=1, max_size=5).map(
+    lambda ns: [F(n, sum(ns)) for n in ns]
+)
+unit_lists = st.one_of(st.lists(boundary_units, max_size=6), summing_to_one)
+multiplicities = st.one_of(st.just(OMEGA), st.integers(1, 3))
+value_entries = st.one_of(
+    st.lists(st.tuples(boundary_units, multiplicities), max_size=6),
+    summing_to_one.map(lambda vs: [(v, 1) for v in vs]),
+)
+tail_seqs = st.tuples(unit_lists, boundary_units)
+
+
+class TestScaledValueClauses:
+    @given(value_entries, value_entries)
+    @example([(F(1), OMEGA)], [(F(0), OMEGA)])  # omega copies of 0
+    @example([(F(1, 2), OMEGA)], [(F(1, 3), 3)])  # sums exactly to 1
+    @example([(F(1, 4), 1), (F(3, 4), 1)], [(F(1, 2), 2)])
+    @example([], [])
+    @settings(max_examples=300, deadline=None)
+    def test_side_sums_and_soundness(self, ant, suc):
+        one, (ant_ints, suc_ints) = over_one_scale(
+            [v for v, _ in ant], [v for v, _ in suc]
+        )
+        ant_scaled = [(n, m) for n, (_, m) in zip(ant_ints, ant)]
+        suc_scaled = [(n, m) for n, (_, m) in zip(suc_ints, suc)]
+        for entries, scaled in ((ant, ant_scaled), (suc, suc_scaled)):
+            for negate in (False, True):
+                ref = ref_side_sum(entries, negate)
+                assert side_sum(entries, negate) == ref
+                assert type(side_sum(entries, negate)) is F
+                assert F(side_sum(scaled, negate, one), one) == ref
+        ref = ref_value_sequent_sound(ant, suc)
+        assert value_sequent_sound(ant, suc) == ref
+        assert value_sequent_sound(ant_scaled, suc_scaled, one) == ref
+
+    @given(unit_lists, boundary_units)
+    @example([], F(0))
+    @example([F(0), F(0)], F(0))
+    @example([F(1, 3), F(2, 3)], F(0))  # sums exactly to 1
+    @example([F(1)], F(1))
+    @settings(max_examples=300, deadline=None)
+    def test_exists_value(self, explicit, tail):
+        one, (ints, (tail_int,)) = over_one_scale(explicit, [tail])
+        for mode in (SUM, SUP):
+            ref = ref_exists_value(explicit, tail, mode)
+            assert exists_value(explicit, tail, mode) == ref
+            assert F(exists_value(ints, tail_int, mode, one), one) == ref
+
+    @given(tail_seqs, tail_seqs, tail_seqs)
+    @example(([F(1, 2)], F(1)), ([F(1, 2), F(1, 2)], F(0)), ([F(0)], F(0)))
+    @example(([], F(1)), ([], F(0)), ([], F(0)))
+    @example(([F(1)], F(1)), ([F(0)], F(1, 3)), ([F(1, 3)], F(0)))
+    @example(([F(1, 4), F(3, 4)], F(1)), ([F(1, 2)], F(0)), ([F(1, 2)], F(0)))
+    @settings(max_examples=300, deadline=None)
+    def test_series_check(self, gamma, chi, delta):
+        ref = ref_check_lemma1_instance(gamma, chi, delta)
+        one, groups = over_one_scale(*(vs + [t] for vs, t in (gamma, chi, delta)))
+        fractions = [TailSeq(tuple(vs), t) for vs, t in (gamma, chi, delta)]
+        ints = [TailSeq(tuple(g[:-1]), g[-1], one) for g in groups]
+        for seqs, unit in ((fractions, 1), (ints, one)):
+            r = check_lemma1_instance(*seqs)
+            got = (r.hypothesis_explicit, r.hypothesis_tail, r.conclusion_holds)
+            assert got == ref[:3]
+            assert (F(r.lhs, unit), F(r.rhs, unit)) == ref[3:]
+        oracle = lemma1_conclusion_finite_oracle(*fractions)
+        assert lemma1_conclusion_finite_oracle(*ints) == oracle
+        if oracle is not None:
+            assert oracle == ref[2]
+
+    @given(st.integers(0, 2**32), st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_lemma1_sampler_draws_and_values(self, seed, max_den):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for combo in range(4):
+            seqs = _lemma1_sample(rng, combo, 8, max_den)
+            ref = ref_lemma1_sample(ref_rng, combo, 8, max_den)
+            got = [
+                ([F(v, s.one) for v in s.explicit], F(s.tail, s.one)) for s in seqs
+            ]
+            assert got == [(list(vs), t) for vs, t in ref]
+            assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("max_den", [1, 7, 60, 10**6])
+    @pytest.mark.parametrize("rule", RULE_CHOICES)
+    def test_rule_samplers_draws_verdicts_and_payloads(self, rule, max_den):
+        for mode in (SUM, SUP):
+            cfg = FuzzConfig(rule=rule, mode=mode, max_denominator=max_den)
+            rng, ref_rng = random.Random(max_den), random.Random(max_den)
+            for _ in range(150):
+                prem, concl, payload = _SAMPLERS[rule](rng, cfg)
+                assert (prem, concl, payload()) == ref_rule_sample(rule, ref_rng, cfg)
+                assert rng.getstate() == ref_rng.getstate()
 
 
 # -- parametric consistency ---------------------------------------------------
