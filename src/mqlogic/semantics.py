@@ -8,18 +8,22 @@ a finite explicit part plus a constant tail, so series either reduce to a
 finite sum or diverge and clamp to 1.
 
 Each clause is written once, in a formula walker over a small value
-algebra: ``eval_formula`` runs it over exact rationals and
-``piecewise.eval_parametric`` over piecewise-affine functions of one
-unknown atom value.  The value clauses (negation, the conditional, the
-existential, side sums and sequent soundness) take the unit ``one``:
-``ONE`` for rationals, or an integer scale for values given as integer
-numerators over it, which is how the samplers run them.
+algebra: ``eval_formula`` and ``sequent_sound`` run it over integer
+numerators and ``piecewise.eval_parametric`` over piecewise-affine
+functions of one unknown atom value.  The value clauses (negation, the
+conditional, the existential, side sums and sequent soundness) take the
+unit ``one``: ``ONE`` for rationals, or an integer scale for integer
+numerators over it.  Every clause maps multiples of 1/scale to multiples
+of 1/scale, so evaluation over the lcm of the valuation's denominators
+(and a sampler over the lcm of what it drew) is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
+from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .multiset import OMEGA, Multiplicity, OmegaMultiset, Sequent
@@ -65,53 +69,6 @@ def unit(q, one=ONE):
     if not (0 <= q <= one):
         raise ValueError(f"value out of [0,1]: {q}")
     return q
-
-
-# ---------------------------------------------------------------------------
-# Extended sums: exact nonnegative rationals plus an infinite point
-
-
-@dataclass(frozen=True, slots=True)
-class ExtendedSum:
-    """A nonnegative rational or the absorbing infinite sum."""
-
-    finite: Optional[Fraction]  # None means infinite
-
-    @staticmethod
-    def of(value: Fraction) -> "ExtendedSum":
-        if value < 0:
-            raise ValueError("extended sums are nonnegative")
-        return ExtendedSum(value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.finite is None
-
-    def plus(self, other: "ExtendedSum") -> "ExtendedSum":
-        if self.is_infinite or other.is_infinite:
-            return INFINITE
-        return ExtendedSum(self.finite + other.finite)
-
-    def plus_copies(self, value: Fraction, mult) -> "ExtendedSum":
-        """Add ``value`` once per copy; omega-many positive copies diverge."""
-        if value < 0:
-            raise ValueError("extended sums are nonnegative")
-        if value == 0:
-            return self
-        if mult is OMEGA:
-            return INFINITE
-        if self.is_infinite:
-            return INFINITE
-        return ExtendedSum(self.finite + value * mult)
-
-    def clamp1(self) -> Fraction:
-        """min(1, sum); the infinite sum clamps to 1."""
-        if self.is_infinite or self.finite >= 1:
-            return ONE
-        return self.finite
-
-
-INFINITE = ExtendedSum(None)
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +135,29 @@ class _EvalState:
     The caches are exact.  During one evaluation the rules can grow only
     by ``code.*`` rules for names that ``name_of`` creates (through a
     quote right-hand side), and their left sides are new constants that
-    no earlier term contains.  So a normal form, an atom key or a render
-    computed earlier in the evaluation is what it would be if computed
-    again now, and skipping the repeat creates no name that the repeat
-    would have created.
+    no earlier term contains.  So a normal form or a render computed
+    earlier in the evaluation is what it would be if computed again now,
+    and skipping the repeat creates no name that the repeat would have
+    created.
+
+    ``constants`` maps a closed atom to its value in the evaluation's
+    algebra, for atoms that take a value from ``atom_values`` or a
+    predicate default.  That value depends only on the atom's key, made
+    of normal forms and so fixed as above, and on the valuation's maps,
+    which the evaluation does not change; nor can such an atom start to
+    unfold later, since a name created later is a constant that its key
+    does not contain.  The unknown is never stored, so it reaches
+    ``alg.unknown`` at every visit.  A truth atom that unfolds is never
+    stored either: every visit must spend one unit of the unfolding
+    budget and walk the named sentence, so that the budget runs out at
+    the same atom as without the memo.
     """
 
     __slots__ = (
         "valuation",
         "unfolds_left",
         "normal_forms",
-        "atom_keys",
+        "constants",
         "render_keys",
         "valuation_terms",
     )
@@ -197,7 +166,7 @@ class _EvalState:
         self.valuation = valuation
         self.unfolds_left = valuation.unfold_budget
         self.normal_forms: dict[Term, Term] = {}  # closed term -> normal form
-        self.atom_keys: dict[Atom, Formula] = {}  # closed atom -> normalised key
+        self.constants: dict[Atom, Any] = {}  # closed atom -> lifted value
         self.render_keys: dict[Term, str] = {}
         # (normal forms seen, representatives) of the atom-map keys and the
         # unknown; computed at the first quantifier
@@ -205,11 +174,7 @@ class _EvalState:
 
     def atom_key(self, atom: Atom) -> Formula:
         """``normalize_formula`` of a closed atom."""
-        key = self.atom_keys.get(atom)
-        if key is None:
-            key = Atom(atom.pred, tuple(self.normal_form(t) for t in atom.args))
-            self.atom_keys[atom] = key
-        return key
+        return Atom(atom.pred, tuple(self.normal_form(t) for t in atom.args))
 
     def normal_form(self, t: Term) -> Term:
         nf = self.normal_forms.get(t)
@@ -343,13 +308,21 @@ class ValueAlgebra:
     exists: Callable[[list, Any, str], Any]
 
 
-FRACTIONS = ValueAlgebra(
-    constant=lambda q: q,
-    unknown=_no_unknown,
-    neg=neg_value,
-    cond=cond_value,
-    exists=exists_value,
-)
+def _scaled(valuation: Valuation) -> tuple[ValueAlgebra, int]:
+    """The algebra of integer numerators over one scale, and that scale:
+    the lcm of the denominators in the valuation's maps."""
+    one = lcm(
+        *(q.denominator for q in valuation.atom_values.values()),
+        *(q.denominator for q in valuation.predicate_defaults.values()),
+    )
+    alg = ValueAlgebra(
+        constant=lambda q: q.numerator * (one // q.denominator),
+        unknown=_no_unknown,
+        neg=partial(neg_value, one=one),
+        cond=partial(cond_value, one=one),
+        exists=partial(exists_value, one=one),
+    )
+    return alg, one
 
 
 def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
@@ -357,6 +330,9 @@ def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
     valuation = state.valuation
     if isinstance(f, Atom):
         atom = Atom(f.pred, tuple(_bind_term(a, env) for a in f.args)) if env else f
+        value = state.constants.get(atom)
+        if value is not None:
+            return value
         key = state.atom_key(atom)
         if valuation.unknown is not None and key == valuation.unknown:
             return alg.unknown()
@@ -369,9 +345,10 @@ def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
                     )
                 state.unfolds_left -= 1
                 return _walk(alg, state, named, {})
-        if key in valuation.atom_values:
-            return alg.constant(valuation.atom_values[key])
-        return alg.constant(valuation.default_of(f.pred))
+        q = valuation.atom_values.get(key)
+        q = valuation.default_of(f.pred) if q is None else q
+        value = state.constants[atom] = alg.constant(q)
+        return value
     if isinstance(f, Neg):
         return alg.neg(_walk(alg, state, f.body, env))
     if isinstance(f, Cond):
@@ -393,11 +370,22 @@ def _instances(
             "instance family needs at most one free variable: "
             + render_formula(_bind_formula(body, env))
         )
-    bound = var in free
-    explicit = []
-    for t in _relevant_terms(state, body, env):
-        explicit.append((t, _walk(alg, state, body, {**env, var: t} if bound else env)))
-    return explicit, _walk(alg, state, body, {**env, var: _TAIL_CONST} if bound else env)
+    terms = _relevant_terms(state, body, env)
+    if var in free:
+        explicit = [(t, _walk(alg, state, body, {**env, var: t})) for t in terms]
+        return explicit, _walk(alg, state, body, {**env, var: _TAIL_CONST})
+    # A vacuous binder: every instance is the same walk.  Walk once and
+    # charge what the other walks would spend; if the budget cannot cover
+    # them, make them, so that it runs out at the same atom.
+    before = state.unfolds_left
+    value = _walk(alg, state, body, env)
+    repeat_cost = (before - state.unfolds_left) * len(terms)
+    if repeat_cost <= state.unfolds_left:
+        state.unfolds_left -= repeat_cost
+    else:
+        for _ in terms:
+            _walk(alg, state, body, env)
+    return [(t, value) for t in terms], value
 
 
 def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
@@ -413,7 +401,8 @@ def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
 
 def eval_formula(valuation: Valuation, f: Formula) -> Fraction:
     """Exact value of a sentence under the valuation."""
-    return unit(evaluate(valuation, f, FRACTIONS))
+    alg, one = _scaled(valuation)
+    return unit(Fraction(evaluate(valuation, f, alg), one))
 
 
 def instance_values(
@@ -424,7 +413,9 @@ def instance_values(
     Returns the explicit part (one entry per relevant term, deduplicated
     by normal form) and the common value of every other instance.
     """
-    return _instances(FRACTIONS, _EvalState(valuation), f, var, {})
+    alg, one = _scaled(valuation)
+    explicit, tail = _instances(alg, _EvalState(valuation), f, var, {})
+    return [(t, Fraction(v, one)) for t, v in explicit], Fraction(tail, one)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +450,9 @@ def value_sequent_sound(
     return one - side_sum(ant, True, one) <= side_sum(suc, one=one)
 
 
-def _side_values(valuation: Valuation, ms: OmegaMultiset):
-    return [(eval_formula(valuation, f), m) for f, m in ms.items()]
+def _side_values(valuation: Valuation, ms: OmegaMultiset, alg: ValueAlgebra, one):
+    """Member values of a side, copies kept, as numerators over ``one``."""
+    return [(unit(evaluate(valuation, f, alg), one), m) for f, m in ms.items()]
 
 
 def eval_antecedent(valuation: Valuation, gamma: OmegaMultiset) -> Fraction:
@@ -469,20 +461,26 @@ def eval_antecedent(valuation: Valuation, gamma: OmegaMultiset) -> Fraction:
     An omega-multiplicity formula below value 1 makes the inner series
     diverge (result 0); at value exactly 1 it contributes nothing.
     """
-    return ONE - side_sum(_side_values(valuation, gamma), negate=True)
+    alg, one = _scaled(valuation)
+    gaps = side_sum(_side_values(valuation, gamma, alg, one), True, one)
+    return Fraction(one - gaps, one)
 
 
 def eval_succedent(valuation: Valuation, delta: OmegaMultiset) -> Fraction:
     """min(1, sum of values over the succedent, copies counted)."""
-    return side_sum(_side_values(valuation, delta))
+    alg, one = _scaled(valuation)
+    return Fraction(side_sum(_side_values(valuation, delta, alg, one), one=one), one)
 
 
 def sequent_sound(valuation: Valuation, s: Sequent) -> bool:
     """Whether antecedent value <= succedent value under the valuation."""
     if s.ant.families or s.suc.families:
         raise SemanticsError("sequent carries omega-indexed families")
+    alg, one = _scaled(valuation)
     return value_sequent_sound(
-        _side_values(valuation, s.ant.finite), _side_values(valuation, s.suc.finite)
+        _side_values(valuation, s.ant.finite, alg, one),
+        _side_values(valuation, s.suc.finite, alg, one),
+        one,
     )
 
 

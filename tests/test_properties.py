@@ -12,18 +12,22 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from extended_sums import INFINITE, ExtendedSum
 from mqlogic.derivations import prop1_derivation, truth_coding_signature
 from mqlogic.experiments import _lemma1_sample
 from mqlogic.fuzz import _SAMPLERS, RULE_CHOICES, FuzzConfig, sample_unit
 from mqlogic.multiset import OMEGA, FormulaFamily, OmegaMultiset, SequentSide
 from mqlogic.piecewise import eval_parametric, piecewise_to_json
 from mqlogic.semantics import (
-    INFINITE,
     SUM,
     SUP,
-    ExtendedSum,
     TailSeq,
+    UngroundedError,
     Valuation,
+    _bind_term,
+    _EvalState,
+    _relevant_terms,
+    _without,
     check_lemma1_instance,
     eval_formula,
     eval_antecedent,
@@ -402,11 +406,13 @@ def reference_value(v: Valuation, f) -> F:
 
 
 @st.composite
-def fun_sentences(draw, depth=5, max_nest=3):
+def fun_sentences(draw, depth=5, max_nest=3, truth=False):
     """Sentences over FUN_SIG with up to ``max_nest`` nested Ex.  Binders
     are drawn from x, y, z whether or not they are in scope, so binders
     shadow and go vacuous; atom terms are base terms or bound variables,
-    bare or under f, the redex g(f(.)) or the naming h."""
+    bare or under f, the redex g(f(.)) or the naming h.  With ``truth``,
+    atoms also include T(h(t)), which unfolds to P(t), and the liar T(l)
+    of LIAR_SIG."""
 
     def term(bound):
         leaves = ["a", "b"] + list(bound)
@@ -421,7 +427,11 @@ def fun_sentences(draw, depth=5, max_nest=3):
             kinds.append("ex")
         kind = draw(st.sampled_from(kinds))
         if kind == "atom":
-            pred = draw(st.sampled_from(["P", "Q", "R"]))
+            pred = draw(st.sampled_from(["P", "Q", "R"] + (["T", "l"] if truth else [])))
+            if pred == "l":
+                return "T(l)"
+            if pred == "T":
+                return f"T(h({term(bound)}))"
             return "R" if pred == "R" else f"{pred}({term(bound)})"
         if kind == "neg":
             return f"~({formula(d - 1, bound, nest)})"
@@ -466,6 +476,94 @@ class TestEnvironmentEvaluation:
                 value = evaluate(v, parse_formula(text, sig))
                 runs.append((value, list(sig.naming_scheme.items())))
             assert runs[0] == runs[1]
+
+
+LIAR_SIG = FUN_SIG + "name l = ~Ex x T(l)\n"
+
+
+def ref_fraction_value(v: Valuation, f) -> F:
+    """The walker as it ran on Fractions: every instance of a binder is
+    walked, vacuous or not, and every atom visit resolves its value.  It
+    shares the library's relevant terms and normal-form cache."""
+    state = _EvalState(v)
+
+    def walk(g, env):
+        if isinstance(g, Atom):
+            atom = Atom(g.pred, tuple(_bind_term(a, env) for a in g.args)) if env else g
+            key = state.atom_key(atom)
+            if v.transparent and g.pred == "T" and g.args:
+                named = v.sig.named_formula(key.args[0])
+                if named is not None:
+                    if state.unfolds_left <= 0:
+                        raise UngroundedError(
+                            f"transparent unfolding exhausted at {render_formula(atom)}"
+                        )
+                    state.unfolds_left -= 1
+                    return walk(named, {})
+            if key in v.atom_values:
+                return v.atom_values[key]
+            return v.default_of(g.pred)
+        if isinstance(g, Neg):
+            return 1 - walk(g.body, env)
+        if isinstance(g, Cond):
+            a = walk(g.lhs, env)
+            b = walk(g.rhs, env)
+            return F(1) if a <= b else 1 - a + b
+        env = _without(env, g.var)
+        bound = g.var in free_vars(g.body)
+
+        def instance(t):
+            return walk(g.body, {**env, g.var: t} if bound else env)
+
+        explicit = [instance(t) for t in _relevant_terms(state, g.body, env)]
+        tail = instance(Const("$tail"))
+        if v.mode == SUP:
+            return max(explicit + [tail])
+        return F(1) if tail > 0 else min(F(1), sum(explicit, F(0)))
+
+    return walk(f, {})
+
+
+class TestScaledEvaluation:
+    @given(fun_valuations, fun_sentences(truth=True), st.integers(0, 12))
+    @example(({"P(a)": F(0), "Q(b)": F(1)}, (F(0), F(1))), "(P(a) -> ~(Q(b)))", 64)
+    @example(({"P(a)": F(0), "Q(b)": F(1)}, (F(0), F(1))), "(Q(b) -> Ex x (Q(x)))", 64)
+    # sums exactly to 1
+    @example(({"P(a)": F(1, 3), "P(f(a))": F(2, 3)}, (F(0), F(0))), "Ex x (P(x))", 64)
+    # vacuous, with tail 0 and with a positive tail
+    @example(({"P(a)": F(1, 2)}, (F(0), F(0))), "Ex x (Q(b))", 64)
+    @example(({"P(a)": F(1, 2)}, (F(0), F(0))), "Ex y (Ex x (P(a)))", 64)
+    # coprime denominators: the scale is 97 * 101 * 103
+    @example(
+        ({"P(a)": F(1, 97), "Q(b)": F(1, 101), "P(f(a))": F(1, 103)}, (F(0), F(0))),
+        "(Ex x (P(x)) -> ~(Ex y (Q(y))))",
+        64,
+    )
+    # all-integer valuation: the scale is 1
+    @example(({"P(a)": F(1), "Q(b)": F(0)}, (F(0), F(1))), "~(Ex x ((P(x) -> Q(x))))", 64)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_walker(self, valuation, text, budget):
+        atoms, (p_default, q_default) = valuation
+        for mode in (SUM, SUP):
+            for transparent in (False, True):
+                runs = []
+                for evaluate in (eval_formula, ref_fraction_value):
+                    sig = load_signature(LIAR_SIG)
+                    v = Valuation(
+                        sig,
+                        mode=mode,
+                        atom_values={parse_formula(a, sig): q for a, q in atoms.items()},
+                        predicate_defaults={"P": p_default, "Q": q_default},
+                        transparent=transparent,
+                        unfold_budget=budget,
+                    )
+                    try:
+                        value = evaluate(v, parse_formula(text, sig))
+                    except UngroundedError as e:
+                        value = str(e)
+                    runs.append((value, list(sig.naming_scheme.items())))
+                assert runs[0] == runs[1]
+                assert type(runs[0][0]) in (F, str)
 
 
 # -- differential: integer-scaled value clauses against Fraction references --

@@ -1,14 +1,14 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from extended_sums import INFINITE, ExtendedSum
 from mqlogic.derivations import liar_signature, truth_coding_signature
 from mqlogic.multiset import OMEGA, OmegaMultiset, Sequent
 from mqlogic.semantics import (
-    INFINITE,
     SUM,
     SUP,
-    ExtendedSum,
     OpenFormulaError,
     TailSeq,
     UngroundedError,
@@ -215,6 +215,24 @@ class TestQuantifier:
             assert eval_formula(v, f) == expected
             assert len(sig.naming_scheme) == names + 9
 
+    @pytest.mark.parametrize(
+        "mode, short, expected",
+        # under sum, a vacuous Ex over a positive sentence diverges to 1, so
+        # the chain is Ex x0 Ex x1 P(x0), not Ex x0 P(x0) (which is 47/60)
+        [(SUP, "Ex x0 P(x0)", F(1, 3)), (SUM, "Ex x0 Ex x1 P(x0)", F(1))],
+    )
+    def test_vacuous_chain(self, mode, short, expected):
+        # nine vacuous binders over P(x0): each walks its body once, so the
+        # time grows linearly with the depth, not as (relevant terms)^depth
+        v = load_valuation(
+            f"mode {mode}\natom P(a) = 1/3\natom P(b) = 1/4\natom P(c) = 1/5\n"
+        )
+        chain = parse_formula(" ".join(f"Ex x{i}" for i in range(10)) + " P(x0)", v.sig)
+        start = time.perf_counter()
+        assert eval_formula(v, chain) == expected
+        assert time.perf_counter() - start < 1
+        assert eval_formula(v, parse_formula(short, v.sig)) == expected
+
 
 class TestSequentEvaluation:
     def test_antecedent_two_copies(self, psig):
@@ -274,6 +292,42 @@ class TestTransparency:
         v = Valuation(sig, transparent=True, unfold_budget=16)
         with pytest.raises(UngroundedError):
             eval_formula(v, Atom("T", (Const("l"),)))
+
+    @pytest.mark.parametrize("mode", [SUM, SUP])
+    def test_vacuous_binder_spends_budget_per_instance(self, mode):
+        # T(q1) unfolds twice (q1 names T(q0), q0 names P(a)); the relevant
+        # terms are a and q1, so Ex x T(q1) costs 2 x (2 + 1) = 6 unfolds
+        sig = Signature()
+        sig.add_predicate("P", 1)
+        sig.add_constant("a")
+        pa = Atom("P", (Const("a"),))
+        q1 = sig.name_of(Atom("T", (sig.name_of(pa),)))
+        f = Exists("x", Atom("T", (q1,)))
+
+        def valuation(budget):
+            return Valuation(
+                sig,
+                mode=mode,
+                transparent=True,
+                atom_values={pa: F(2, 7)},
+                unfold_budget=budget,
+            )
+
+        explicit, _ = instance_values(valuation(6), f.body, "x")
+        assert [render_term(t) for t, _ in explicit] == ["a", "q1"]
+        assert eval_formula(valuation(6), f) == (F(2, 7) if mode == SUP else 1)
+        with pytest.raises(UngroundedError) as e:
+            eval_formula(valuation(5), f)
+        assert str(e.value) == "transparent unfolding exhausted at T(q0)"
+        with pytest.raises(UngroundedError) as e:
+            eval_formula(valuation(4), f)
+        assert str(e.value) == "transparent unfolding exhausted at T(q1)"
+        # what the binder spent is gone for the atoms after it
+        then = Cond(f, Atom("T", (q1,)))
+        assert eval_formula(valuation(8), then) == (1 if mode == SUP else F(2, 7))
+        with pytest.raises(UngroundedError) as e:
+            eval_formula(valuation(7), then)
+        assert str(e.value) == "transparent unfolding exhausted at T(q0)"
 
 
 class TestLemma1:
