@@ -36,6 +36,7 @@ from .fuzz import (
     draw_unit,
     existsr_value_instance,
     fuzz_rule,
+    randint,
     sound_premise_values,
 )
 from .multiset import OMEGA, Sequent
@@ -154,7 +155,7 @@ def _lemma1_sample(
     chi_zero = combo in (0, 1)
     delta_zero = combo in (0, 2)
     rows = []
-    for _ in range(rng.randint(0, max_len)):
+    for _ in range(randint(rng, 0, max_len)):
         g = ONE_DRAW if rng.random() < 0.15 else draw_unit(rng, max_den)
         rows.append((g, draw_unit(rng, max_den), draw_unit(rng, max_den)))
     g_tail = ONE_DRAW if rng.random() < 0.25 else draw_unit(rng, max_den)
@@ -183,6 +184,9 @@ def repro_lemma1(
     """Sampled instances of the series inequality: whenever the
     index-wise hypothesis holds, the conclusion inequality holds; the
     naive finite-sum oracle agrees on every convergent sample."""
+    for name, value, least in (("max_len", max_len, 0), ("max_den", max_den, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     t0 = time.monotonic()
     rng = random.Random(seed)
     combos = [0, 0, 0, 0]

@@ -112,9 +112,22 @@ Draw = tuple[int, int]  # a sampled unit value: (numerator, denominator)
 ZERO_DRAW: Draw = (0, 1)
 
 
+def randint(rng: random.Random, a: int, b: int) -> int:
+    """``Random.randint`` without its call chain: the same ``getrandbits``
+    calls as CPython's ``randrange(a, b + 1)``, so the same integer in [a, b]."""
+    n = b - a + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({a}, {b})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def draw_unit(rng: random.Random, max_denominator: int, low: int = 0) -> Draw:
-    den = rng.randint(1, max_denominator)
-    return rng.randint(low, den), den
+    den = randint(rng, 1, max_denominator)
+    return randint(rng, low, den), den
 
 
 def sample_unit(rng: random.Random, max_denominator: int) -> Fraction:
@@ -124,11 +137,25 @@ def sample_unit(rng: random.Random, max_denominator: int) -> Fraction:
 def draw_context(
     rng: random.Random, cfg: FuzzConfig
 ) -> list[tuple[Draw, Multiplicity]]:
-    size = rng.randint(0, cfg.max_context_size)
+    # randint(rng, 1, 3) and draw_unit inlined: the rule fuzzers' hottest loop
+    bits, max_den = rng.getrandbits, cfg.max_denominator
+    k_den = max_den.bit_length()
     out = []
-    for _ in range(size):
-        mult: Multiplicity = OMEGA if rng.random() < 0.10 else rng.randint(1, 3)
-        out.append((draw_unit(rng, cfg.max_denominator), mult))
+    for _ in range(randint(rng, 0, cfg.max_context_size)):
+        if rng.random() < 0.10:
+            mult: Multiplicity = OMEGA
+        else:
+            mult = bits(2) + 1
+            while mult > 3:
+                mult = bits(2) + 1
+        den = bits(k_den) + 1
+        while den > max_den:
+            den = bits(k_den) + 1
+        k = (den + 1).bit_length()
+        num = bits(k)
+        while num > den:
+            num = bits(k)
+        out.append(((num, den), mult))
     return out
 
 
@@ -238,7 +265,7 @@ def _condl(one, gamma, delta, gamma2, delta2, a, b):
 
 def _sample_existsr(rng, cfg) -> tuple[bool, bool, Callable[[], dict]]:
     gamma, delta = draw_context(rng, cfg), draw_context(rng, cfg)
-    prefix = rng.randint(0, cfg.max_family_prefix)
+    prefix = randint(rng, 0, cfg.max_family_prefix)
     explicit = [draw_unit(rng, cfg.max_denominator) for _ in range(prefix)]
     # half the tails sit exactly at 0 so both convergent and divergent
     # series appear
@@ -265,7 +292,7 @@ def _sample_existsl(rng, cfg) -> tuple[bool, bool, Callable[[], dict]]:
     succedent value) constrained to be sound; the conclusion folds the
     three series through the quantifier clause."""
     max_den = cfg.max_denominator
-    prefix = rng.randint(0, cfg.max_family_prefix)
+    prefix = randint(rng, 0, cfg.max_family_prefix)
     rows = [
         (draw_unit(rng, max_den), draw_unit(rng, max_den), draw_unit(rng, max_den))
         for _ in range(prefix)
@@ -352,8 +379,8 @@ def sample_formula(rng: random.Random, sig: Signature, depth: int) -> Formula:
 
 def _sample_side(rng, sig, max_size: int) -> list[tuple[Formula, Multiplicity]]:
     out = []
-    for _ in range(rng.randint(0, max_size)):
-        mult: Multiplicity = OMEGA if rng.random() < 0.10 else rng.randint(1, 2)
+    for _ in range(randint(rng, 0, max_size)):
+        mult: Multiplicity = OMEGA if rng.random() < 0.10 else randint(rng, 1, 2)
         out.append((sample_formula(rng, sig, 2), mult))
     return out
 

@@ -1022,13 +1022,10 @@ class _Parser:
             self.expect("(")
             body = self.formula()
             self.expect(")")
-            if free_vars(body):
-                if not (self.open_quotes or free_vars(body) <= self.bound):
-                    raise UnknownSymbolError(
-                        next(iter(free_vars(body) - self.bound)), pos
-                    )
-                return Quote(body)
-            return self.sig.name_of(body)
+            free = free_vars(body)
+            if free and not self.open_quotes:
+                raise ParseError(f"quote of an open formula: '{min(free)}' is free", pos)
+            return Quote(body) if free else self.sig.name_of(body)
         if self.peek() is not None and self.peek().text == "(":
             arity = self.sig.function_arity(name)
             args = self.term_args()

@@ -72,6 +72,14 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"recursion limit ({sys.getrecursionlimit()})" in err
 
+    def test_open_quote_under_binder_exit_2(self, capsys, tmp_path):
+        v = tmp_path / "t.val"
+        v.write_text("mode sup\ntransparent on\ndefault P = 1/2\n")
+        code, out = run(capsys, "eval", "-v", str(v), "-f", "T(quote(P(a)))")
+        assert code == 0 and json.loads(out) == {"value": "1/2"}
+        assert main(["eval", "-v", str(v), "-f", "Ex x T(quote(P(x)))"]) == 2
+        assert "quote of an open formula: 'x'" in capsys.readouterr().err
+
     def test_semantic_error_exit_3(self, capsys, tmp_path, liar_sig):
         v = tmp_path / "t.val"
         v.write_text("mode sum\ntransparent on\n")

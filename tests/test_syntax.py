@@ -94,6 +94,21 @@ class TestParsing:
         assert isinstance(t, Const)
         assert parse_term("quote(P(c))", sig) == t  # memoised
 
+    @pytest.mark.parametrize(
+        "text, var", [("Ex x T(quote(P(x)))", "x"), ("Ex y ~T(quote(Ex x P(y)))", "y")]
+    )
+    def test_open_quote_under_binder_rejected(self, sig, text, var):
+        """A quote names a sentence; one that relies on an enclosing binder
+        names none, so it is refused at parse time."""
+        sig.add_predicate("T", 1)
+        with pytest.raises(ParseError) as exc:
+            parse_formula(text, sig)
+        assert f"quote of an open formula: '{var}'" in str(exc.value)
+
+    def test_open_quote_in_rewrite_rhs_loads(self):
+        s = load_signature("pred P/1\nconst a\nfun h/1\nrewrite h(x) => quote(P(x))\n")
+        assert normalize_term(App("h", (Const("a"),)), s) == parse_term("quote(P(a))", s)
+
 
 class TestSubstitution:
     def test_free_occurrence(self):
