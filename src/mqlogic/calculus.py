@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .multiset import (
     OMEGA,
@@ -73,12 +73,6 @@ class CheckError(Exception):
     """Raised internally for malformed derivation structure."""
 
 
-def subst_open(f: Formula, x: str, t: Term) -> Formula:
-    """Substitution that tolerates an open replacement term (used for
-    instantiating rule templates with the family index variable)."""
-    return _subst(f, x, t)
-
-
 # ---------------------------------------------------------------------------
 # Derivations
 
@@ -86,9 +80,14 @@ def subst_open(f: Formula, x: str, t: Term) -> Formula:
 @dataclass(frozen=True)
 class SlotRef:
     """Premise placeholder inside a family template: the derivation at
-    slot (current slot - offset) of the enclosing family."""
+    slot (current slot - offset) of the enclosing family.  The offset is
+    at least 1: a slot can refer only to earlier slots."""
 
     offset: int
+
+    def __post_init__(self) -> None:
+        if self.offset < 1:
+            raise CheckError(f"slot reference offset must be >= 1, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,8 @@ class UniformFamily:
     explicit: tuple[Derivation, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.var, str):
+            raise CheckError(f"family index must be a variable name, got {self.var!r}")
         if self.start != len(self.explicit):
             raise CheckError("start index must equal the explicit-slot count")
 
@@ -122,15 +123,12 @@ class UniformFamily:
 def _instantiate_side(side: SequentSide, var: str, rep: Term, sig: Signature) -> SequentSide:
     out = OmegaMultiset(sig)
     for f, m in side.finite.items():
-        out.add(subst_open(f, var, rep), m, allow_open=True)
-    fams = []
-    for fam in side.families:
-        if fam.var == var:
-            fams.append(fam)  # shadowed
-        else:
-            fams.append(
-                FormulaFamily(fam.var, fam.start, subst_open(fam.template, var, rep))
-            )
+        out.add(_subst(f, var, rep), m, allow_open=True)
+    fams = [
+        fam if fam.var == var  # shadowed
+        else FormulaFamily(fam.var, fam.start, _subst(fam.template, var, rep))
+        for fam in side.families
+    ]
     return SequentSide(out, fams)
 
 
@@ -142,12 +140,10 @@ def instantiate_sequent(s: Sequent, var: str, rep: Term, sig: Signature) -> Sequ
 
 
 def instantiate_derivation(d: Derivation, var: str, rep: Term, sig: Signature) -> Derivation:
-    prems: list[Union[Derivation, SlotRef]] = []
-    for p in d.premises:
-        if isinstance(p, SlotRef):
-            prems.append(p)
-        else:
-            prems.append(instantiate_derivation(p, var, rep, sig))
+    prems = tuple(
+        p if isinstance(p, SlotRef) else instantiate_derivation(p, var, rep, sig)
+        for p in d.premises
+    )
     fam = d.family
     if fam is not None and fam.var != var:
         fam = UniformFamily(
@@ -156,88 +152,64 @@ def instantiate_derivation(d: Derivation, var: str, rep: Term, sig: Signature) -
             instantiate_derivation(fam.template, var, rep, sig),
             tuple(instantiate_derivation(e, var, rep, sig) for e in fam.explicit),
         )
-    principal = (
-        subst_open(d.principal, var, rep) if d.principal is not None else None
-    )
+    principal = None if d.principal is None else _subst(d.principal, var, rep)
     return Derivation(
-        instantiate_sequent(d.conclusion, var, rep, sig),
-        d.rule,
-        tuple(prems),
-        fam,
-        principal,
+        instantiate_sequent(d.conclusion, var, rep, sig), d.rule, prems, fam, principal
     )
+
+
+def derivation_nodes(d: Derivation, var: Optional[str] = None) -> Iterator[Derivation]:
+    """Every node of ``d`` in preorder: the node, its premises, then its
+    family's template and explicit slots.  A family binding ``var`` is
+    not entered."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        fam = node.family
+        if fam is not None and fam.var != var:
+            stack.extend(reversed(fam.explicit))
+            stack.append(fam.template)
+        stack.extend(p for p in reversed(node.premises) if isinstance(p, Derivation))
 
 
 def _has_slot_refs(d: Derivation) -> bool:
-    for p in d.premises:
-        if isinstance(p, SlotRef):
-            return True
-        if _has_slot_refs(p):
-            return True
-    if d.family is not None:
-        if _has_slot_refs(d.family.template):
-            return True
-        if any(_has_slot_refs(e) for e in d.family.explicit):
-            return True
-    return False
+    return any(
+        isinstance(p, SlotRef) for node in derivation_nodes(d) for p in node.premises
+    )
 
 
 def _derivation_uses_var(d: Derivation, var: str) -> bool:
-    def seq_uses(s: Sequent) -> bool:
-        for side in (s.ant, s.suc):
-            for f, _ in side.finite.items():
-                if var in free_vars(f):
-                    return True
-            for fam in side.families:
-                if fam.var != var and var in free_vars(fam.template):
-                    return True
-        return False
+    for node in derivation_nodes(d, var):
+        if node.principal is not None and var in free_vars(node.principal):
+            return True
+        for side in (node.conclusion.ant, node.conclusion.suc):
+            if any(var in free_vars(f) for f in side.finite.support()):
+                return True
+            if any(f.var != var and var in free_vars(f.template) for f in side.families):
+                return True
+    return False
 
-    if seq_uses(d.conclusion):
-        return True
-    if d.principal is not None and var in free_vars(d.principal):
-        return True
-    for p in d.premises:
-        if isinstance(p, Derivation) and _derivation_uses_var(p, var):
-            return True
-    if d.family is not None and d.family.var != var:
-        if _derivation_uses_var(d.family.template, var):
-            return True
-        if any(_derivation_uses_var(e, var) for e in d.family.explicit):
-            return True
+
+def _rebinds(f: Formula, var: str) -> bool:
+    if isinstance(f, Exists):
+        return f.var == var or _rebinds(f.body, var)
+    if isinstance(f, Neg):
+        return _rebinds(f.body, var)
+    if isinstance(f, Cond):
+        return _rebinds(f.lhs, var) or _rebinds(f.rhs, var)
     return False
 
 
 def _check_template_uniformity(d: Derivation, var: str) -> None:
     """The index variable may occur only inside terms: it must never be
     rebound by a quantifier in any template formula."""
-
-    def check_formula(f: Formula) -> None:
-        if isinstance(f, Exists):
-            if f.var == var:
+    for node in derivation_nodes(d):
+        for side in (node.conclusion.ant, node.conclusion.suc):
+            if any(_rebinds(f, var) for f in side.finite.support()):
                 raise CheckError(
                     f"family index '{var}' rebound by a quantifier in the template"
                 )
-            check_formula(f.body)
-        elif isinstance(f, Neg):
-            check_formula(f.body)
-        elif isinstance(f, Cond):
-            check_formula(f.lhs)
-            check_formula(f.rhs)
-
-    def walk(node: Derivation) -> None:
-        for side in (node.conclusion.ant, node.conclusion.suc):
-            for f, _ in side.finite.items():
-                check_formula(f)
-        for p in node.premises:
-            if isinstance(p, Derivation):
-                walk(p)
-        if node.family is not None:
-            walk(node.family.template)
-            for e in node.family.explicit:
-                walk(e)
-
-    walk(d)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +230,34 @@ class SequentFamily:
     start: int
     template: Sequent
     explicit: tuple[Sequent, ...] = ()
+
+
+def _named_body(sig: Signature, atom: Atom) -> Formula:
+    named = sig.named_formula(atom.args[0])
+    if named is None:
+        raise CheckError(
+            f"term {render_term(atom.args[0])} does not normalize to a "
+            "canonical name"
+        )
+    return named
+
+
+# The one-premise rules, one row each: the rule, whether its principal is in
+# the succedent, the principal's shape (Atom for the truth rules, which need
+# a naming scheme), the verdict when no formula has that shape, and the
+# components the premise adds to its antecedent and to its succedent.
+_ONE_PREMISE = {
+    "negl": ("NegL", False, Neg, "no negated formula in the antecedent",
+             lambda sig, f: (None, f.body)),
+    "negr": ("NegR", True, Neg, "no negated formula in the succedent",
+             lambda sig, f: (f.body, None)),
+    "condr": ("CondR", True, Cond, "no conditional in the succedent",
+              lambda sig, f: (f.lhs, f.rhs)),
+    "tl": ("TL", False, Atom, "no truth atom in the antecedent",
+           lambda sig, f: (_named_body(sig, f), None)),
+    "tr": ("TR", True, Atom, "no truth atom in the succedent",
+           lambda sig, f: (None, _named_body(sig, f))),
+}
 
 
 class _RuleChecker:
@@ -318,12 +318,18 @@ class _RuleChecker:
                 "side of the conclusion"
             ) from None
 
+    @staticmethod
     def _candidates(
-        self, side: SequentSide, principal: Optional[Formula], want
+        side: SequentSide, principal: Optional[Formula], want: type
     ) -> list[Formula]:
-        if principal is not None:
-            return [principal]
-        return [f for f in side.finite.support() if isinstance(f, want)]
+        """The principal, or without one every formula on ``side``, kept
+        when it has the shape ``want`` (``object`` keeps every formula).
+        An atomic principal is a truth atom ``T(t)``."""
+        cands = side.finite.support() if principal is None else (principal,)
+        if want is Atom:
+            return [f for f in cands if isinstance(f, Atom) and f.pred == "T"
+                    and len(f.args) == 1]
+        return [f for f in cands if isinstance(f, want)]
 
     # -- rule dispatch -----------------------------------------------------
 
@@ -336,10 +342,15 @@ class _RuleChecker:
         family: Optional[SequentFamily] = None,
     ) -> Verdict:
         try:
-            handler = getattr(self, "_rule_" + rule.lower())
+            name = rule.lower()
+            row = _ONE_PREMISE.get(name)
+            if row is None:
+                handler = getattr(self, "_rule_" + name)
         except AttributeError:
             return Verdict(False, f"unknown rule '{rule}'")
         try:
+            if row is not None:
+                return self._one_premise(row, list(premises), conclusion, principal)
             return handler(list(premises), conclusion, principal, family)
         except CheckError as e:
             return Verdict(False, str(e))
@@ -354,12 +365,7 @@ class _RuleChecker:
 
     def _rule_init(self, premises, conclusion, principal, family) -> Verdict:
         self._need(premises, 0, "Init")
-        cands = (
-            [principal]
-            if principal is not None
-            else conclusion.ant.finite.support()
-        )
-        for f in cands:
+        for f in self._candidates(conclusion.ant, principal, object):
             if (
                 conclusion.ant.finite.multiplicity_of(f) != 0
                 and conclusion.suc.finite.multiplicity_of(f) != 0
@@ -367,59 +373,31 @@ class _RuleChecker:
                 return Verdict(True)
         return Verdict(False, "no formula occurs on both sides of the sequent")
 
-    # single-premise propositional rules -------------------------------------
+    # one-premise rules: NegL, NegR, CondR, TL, TR -------------------------
 
-    def _expect(self, premise: Sequent, expected: Sequent, what: str) -> Verdict:
-        if premise == expected:
-            return Verdict(True)
-        return Verdict(
-            False,
-            f"{what}: expected premise {expected.render()!r}, got {premise.render()!r}",
-        )
-
-    def _rule_negl(self, premises, conclusion, principal, family) -> Verdict:
-        self._need(premises, 1, "NegL")
-        last = Verdict(False, "no negated formula in the antecedent")
-        for f in self._candidates(conclusion.ant, principal, Neg):
-            if not isinstance(f, Neg):
-                continue
-            expected = Sequent(
-                self._without_principal(conclusion.ant, f),
-                conclusion.suc.with_added(f.body),
+    def _one_premise(self, row, premises, conclusion, principal) -> Verdict:
+        rule, on_suc, want, missing, components = row
+        self._need(premises, 1, rule)
+        if want is Atom and not self.sig.naming_scheme:
+            return Verdict(False, f"{rule} requires a naming scheme in the signature")
+        last = Verdict(False, missing)
+        side = conclusion.suc if on_suc else conclusion.ant
+        for f in self._candidates(side, principal, want):
+            add_ant, add_suc = components(self.sig, f)
+            ant = conclusion.ant if on_suc else self._without_principal(conclusion.ant, f)
+            if add_ant is not None:
+                ant = ant.with_added(add_ant)
+            suc = self._without_principal(conclusion.suc, f) if on_suc else conclusion.suc
+            if add_suc is not None:
+                suc = suc.with_added(add_suc)
+            expected = Sequent(ant, suc)
+            if premises[0] == expected:
+                return Verdict(True)
+            last = Verdict(
+                False,
+                f"{rule} shape: expected premise {expected.render()!r}, "
+                f"got {premises[0].render()!r}",
             )
-            last = self._expect(premises[0], expected, "NegL shape")
-            if last.ok:
-                return last
-        return last
-
-    def _rule_negr(self, premises, conclusion, principal, family) -> Verdict:
-        self._need(premises, 1, "NegR")
-        last = Verdict(False, "no negated formula in the succedent")
-        for f in self._candidates(conclusion.suc, principal, Neg):
-            if not isinstance(f, Neg):
-                continue
-            expected = Sequent(
-                conclusion.ant.with_added(f.body),
-                self._without_principal(conclusion.suc, f),
-            )
-            last = self._expect(premises[0], expected, "NegR shape")
-            if last.ok:
-                return last
-        return last
-
-    def _rule_condr(self, premises, conclusion, principal, family) -> Verdict:
-        self._need(premises, 1, "CondR")
-        last = Verdict(False, "no conditional in the succedent")
-        for f in self._candidates(conclusion.suc, principal, Cond):
-            if not isinstance(f, Cond):
-                continue
-            expected = Sequent(
-                conclusion.ant.with_added(f.lhs),
-                self._without_principal(conclusion.suc, f).with_added(f.rhs),
-            )
-            last = self._expect(premises[0], expected, "CondR shape")
-            if last.ok:
-                return last
         return last
 
     def _rule_condl(self, premises, conclusion, principal, family) -> Verdict:
@@ -427,8 +405,6 @@ class _RuleChecker:
         p0, p1 = premises
         last = Verdict(False, "no conditional in the antecedent")
         for f in self._candidates(conclusion.ant, principal, Cond):
-            if not isinstance(f, Cond):
-                continue
             if p0.suc.finite.multiplicity_of(f.lhs) == 0:
                 last = Verdict(
                     False,
@@ -453,72 +429,7 @@ class _RuleChecker:
             )
         return last
 
-    # truth rules ------------------------------------------------------------
-
-    def _truth_atom_candidates(
-        self, side: SequentSide, principal: Optional[Formula]
-    ) -> list[Atom]:
-        if principal is not None:
-            cands = [principal]
-        else:
-            cands = side.finite.support()
-        return [
-            f
-            for f in cands
-            if isinstance(f, Atom) and f.pred == "T" and len(f.args) == 1
-        ]
-
-    def _named_body(self, atom: Atom) -> Formula:
-        named = self.sig.named_formula(atom.args[0])
-        if named is None:
-            raise CheckError(
-                f"term {render_term(atom.args[0])} does not normalize to a "
-                "canonical name"
-            )
-        return named
-
-    def _rule_tr(self, premises, conclusion, principal, family) -> Verdict:
-        self._need(premises, 1, "TR")
-        if not self.sig.naming_scheme:
-            return Verdict(False, "TR requires a naming scheme in the signature")
-        last = Verdict(False, "no truth atom in the succedent")
-        for atom in self._truth_atom_candidates(conclusion.suc, principal):
-            named = self._named_body(atom)
-            expected = Sequent(
-                conclusion.ant.copy(),
-                self._without_principal(conclusion.suc, atom).with_added(named),
-            )
-            last = self._expect(premises[0], expected, "TR shape")
-            if last.ok:
-                return last
-        return last
-
-    def _rule_tl(self, premises, conclusion, principal, family) -> Verdict:
-        self._need(premises, 1, "TL")
-        if not self.sig.naming_scheme:
-            return Verdict(False, "TL requires a naming scheme in the signature")
-        last = Verdict(False, "no truth atom in the antecedent")
-        for atom in self._truth_atom_candidates(conclusion.ant, principal):
-            named = self._named_body(atom)
-            expected = Sequent(
-                self._without_principal(conclusion.ant, atom).with_added(named),
-                conclusion.suc.copy(),
-            )
-            last = self._expect(premises[0], expected, "TL shape")
-            if last.ok:
-                return last
-        return last
-
     # omega quantifier rules ---------------------------------------------------
-
-    def _exists_candidates(
-        self, side: SequentSide, principal: Optional[Formula]
-    ) -> list[Exists]:
-        if principal is not None:
-            cands = [principal]
-        else:
-            cands = side.finite.support()
-        return [f for f in cands if isinstance(f, Exists)]
 
     def _match_instance(self, body: Formula, var: str, inst: Formula) -> Optional[Term]:
         """Structural witness extraction: a term w with body[w/var] == inst
@@ -637,7 +548,7 @@ class _RuleChecker:
         self._need(premises, 1, "ExistsRw")
         premise = premises[0]
         last = Verdict(False, "no existential formula in the succedent")
-        for f in self._exists_candidates(conclusion.suc, principal):
+        for f in self._candidates(conclusion.suc, principal, Exists):
             if premise.ant != conclusion.ant:
                 last = Verdict(False, "ExistsRw must not change the antecedent")
                 continue
@@ -676,13 +587,18 @@ class _RuleChecker:
         if family is None:
             return self._exists_left_single(premises, conclusion, principal)
         self._need(premises, 0, "ExistsLw (family form)")
-        return self._exists_left_family(conclusion, principal, family)
+        last = Verdict(False, "no existential formula in the antecedent")
+        for f in self._candidates(conclusion.ant, principal, Exists):
+            last = self._exists_left_family_one(conclusion, f, family)
+            if last.ok:
+                return last
+        return last
 
     def _exists_left_single(self, premises, conclusion, principal) -> Verdict:
         self._need(premises, 1, "ExistsLw (single-premise form)")
         premise = premises[0]
         last = Verdict(False, "no existential formula in the antecedent")
-        for f in self._exists_candidates(conclusion.ant, principal):
+        for f in self._candidates(conclusion.ant, principal, Exists):
             if f.var in free_vars(f.body):
                 last = Verdict(
                     False,
@@ -713,16 +629,23 @@ class _RuleChecker:
             )
         return last
 
-    def _exists_left_family(
-        self, conclusion: Sequent, principal: Optional[Formula], fam: SequentFamily
-    ) -> Verdict:
-        last = Verdict(False, "no existential formula in the antecedent")
-        for f in self._exists_candidates(conclusion.ant, principal):
-            verdict = self._exists_left_family_one(conclusion, f, fam)
-            if verdict.ok:
-                return verdict
-            last = verdict
-        return last
+    def _index_tail(
+        self, part: OmegaMultiset, fam: SequentFamily
+    ) -> Optional[SequentSide]:
+        """What one side of the template contributes to the conclusion over
+        the slots from ``fam.start`` on: a family per copy of an
+        index-dependent formula, omega copies of any other.  None when an
+        index-dependent formula has omega multiplicity."""
+        fams: list[FormulaFamily] = []
+        tail = OmegaMultiset(self.sig)
+        for g, m in part.items():
+            if fam.var not in free_vars(g):
+                tail.add(g, OMEGA, allow_open=True)
+            elif m is OMEGA:
+                return None
+            else:
+                fams.extend([FormulaFamily(fam.var, fam.start, g)] * m)
+        return SequentSide(tail, fams)
 
     def _exists_left_family_one(
         self, conclusion: Sequent, f: Exists, fam: SequentFamily
@@ -732,7 +655,7 @@ class _RuleChecker:
         tpl = fam.template
         if tpl.ant.families or tpl.suc.families:
             return Verdict(False, "nested families in a premise template")
-        p_tpl = body if vacuous else subst_open(body, var, Var(fam.var))
+        p_tpl = body if vacuous else _subst(body, var, Var(fam.var))
         if tpl.ant.finite.multiplicity_of(p_tpl) == 0:
             return Verdict(
                 False,
@@ -755,31 +678,11 @@ class _RuleChecker:
                 SequentSide(ex.ant.finite.remove_one(p_slot))
             )
             expected_suc = expected_suc.union(SequentSide(ex.suc.finite.copy()))
-        tail_ant_fams: list[FormulaFamily] = []
-        tail_ant = OmegaMultiset(self.sig)
-        for g, m in gamma_tpl.items():
-            if fam.var in free_vars(g):
-                if m is OMEGA or not isinstance(m, int):
-                    return Verdict(
-                        False, "index-dependent context needs finite multiplicity"
-                    )
-                tail_ant_fams.extend([FormulaFamily(fam.var, fam.start, g)] * m)
-            else:
-                tail_ant.add(g, OMEGA, allow_open=True)
-        tail_suc_fams: list[FormulaFamily] = []
-        tail_suc = OmegaMultiset(self.sig)
-        for g, m in tpl.suc.finite.items():
-            if fam.var in free_vars(g):
-                if m is OMEGA or not isinstance(m, int):
-                    return Verdict(
-                        False, "index-dependent context needs finite multiplicity"
-                    )
-                tail_suc_fams.extend([FormulaFamily(fam.var, fam.start, g)] * m)
-            else:
-                tail_suc.add(g, OMEGA, allow_open=True)
-        expected_ant = expected_ant.union(SequentSide(tail_ant, tail_ant_fams))
-        expected_suc = expected_suc.union(SequentSide(tail_suc, tail_suc_fams))
-        expected = Sequent(expected_ant, expected_suc)
+        tail_ant = self._index_tail(gamma_tpl, fam)
+        tail_suc = None if tail_ant is None else self._index_tail(tpl.suc.finite, fam)
+        if tail_suc is None:
+            return Verdict(False, "index-dependent context needs finite multiplicity")
+        expected = Sequent(expected_ant.union(tail_ant), expected_suc.union(tail_suc))
         if expected != conclusion:
             return Verdict(
                 False,
@@ -891,8 +794,7 @@ class DerivationChecker:
 
     def check(self, d: Derivation) -> CheckReport:
         report = CheckReport(True, self.policy, self.depth)
-        ok = self._node(d, "root", None, report)
-        report.ok = ok
+        report.ok = self._node(d, "root", None, report)
         return report
 
     # resolver: maps a SlotRef offset to the conclusion of an earlier slot
@@ -968,12 +870,11 @@ class DerivationChecker:
             report.family_spot_checks.append((path, fam.start, ok))
             return ok
         for slot in range(fam.start, fam.start + self.depth):
+            inst = fam.template
             if uses_var:
                 inst = instantiate_derivation(
                     fam.template, fam.var, self.rules._rep_term(slot), self.sig
                 )
-            else:
-                inst = fam.template
 
             def resolver(offset: int, _slot: int = slot) -> Sequent:
                 return slot_conclusion(_slot - offset)
@@ -1027,20 +928,35 @@ def derivation_to_json(d: Derivation) -> dict:
 
 
 def derivation_from_json(data: dict, sig: Signature) -> Derivation:
+    """The derivation a JSON node describes.  Malformed input raises
+    CheckError naming the problem: a missing field, a field of the wrong
+    type, an unknown rule id, a slot offset below 1, or a family whose
+    ``start`` differs from its explicit-slot count."""
+    try:
+        return _derivation_from_json(data, sig)
+    except KeyError as e:
+        raise CheckError(f"derivation JSON lacks the field {e}") from None
+    except (TypeError, AttributeError, OverflowError) as e:
+        raise CheckError(f"malformed derivation JSON: {e}") from None
+
+
+def _derivation_from_json(data: dict, sig: Signature) -> Derivation:
+    if not isinstance(data, dict):
+        raise CheckError(f"a derivation node must be a JSON object, got {data!r:.40}")
     premises: list[Union[Derivation, SlotRef]] = []
     for p in data.get("premises", []):
-        if "slotRef" in p:
+        if isinstance(p, dict) and "slotRef" in p:
             premises.append(SlotRef(int(p["slotRef"])))
         else:
-            premises.append(derivation_from_json(p, sig))
+            premises.append(_derivation_from_json(p, sig))
     family = None
     if "family" in data:
         f = data["family"]
         family = UniformFamily(
             f["var"],
             int(f["start"]),
-            derivation_from_json(f["template"], sig),
-            tuple(derivation_from_json(e, sig) for e in f.get("explicit", [])),
+            _derivation_from_json(f["template"], sig),
+            tuple(_derivation_from_json(e, sig) for e in f.get("explicit", [])),
         )
     principal = None
     if "principal" in data:

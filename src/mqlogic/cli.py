@@ -19,6 +19,7 @@ from pathlib import Path
 from .calculus import (
     ADDITIVE,
     MULTIPLICATIVE,
+    CheckError,
     check_derivation,
     derivation_from_json,
 )
@@ -243,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except SyntaxError_ as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, FileNotFoundError, ValueError) as e:
+    except (json.JSONDecodeError, FileNotFoundError, ValueError, CheckError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SemanticsError as e:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional
 
-from .calculus import Derivation
+from .calculus import Derivation, derivation_nodes
 from .multiset import OMEGA, Multiplicity, Sequent
 from .semantics import (
     ONE,
@@ -449,18 +449,6 @@ def generate_derivation(
     return init_leaf()
 
 
-def all_conclusions(d: Derivation) -> list[Sequent]:
-    out = [d.conclusion]
-    for p in d.premises:
-        if isinstance(p, Derivation):
-            out.extend(all_conclusions(p))
-    if d.family is not None:
-        out.extend(all_conclusions(d.family.template))
-        for e in d.family.explicit:
-            out.extend(all_conclusions(e))
-    return out
-
-
 def random_valuation(
     rng: random.Random,
     sig: Signature,
@@ -499,8 +487,8 @@ def collect_atoms(d: Derivation) -> list[Formula]:
             walk_formula(f.lhs)
             walk_formula(f.rhs)
 
-    for seq in all_conclusions(d):
-        for side in (seq.ant, seq.suc):
+    for node in derivation_nodes(d):
+        for side in (node.conclusion.ant, node.conclusion.suc):
             for f, _ in side.finite.items():
                 walk_formula(f)
     return out

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -8,6 +9,7 @@ from mqlogic.calculus import (
     CheckError,
     Derivation,
     SequentFamily,
+    SlotRef,
     UniformFamily,
     check_derivation,
     check_instance,
@@ -21,6 +23,7 @@ from mqlogic.derivations import (
     truth_coding_signature,
 )
 from mqlogic.multiset import OMEGA, FormulaFamily, Sequent
+from mqlogic.semantics import Valuation, sequent_sound
 from mqlogic.syntax import (
     App,
     Atom,
@@ -31,6 +34,7 @@ from mqlogic.syntax import (
     Numeral,
     Signature,
     Var,
+    load_signature,
 )
 
 
@@ -371,3 +375,41 @@ class TestJsonRoundTrip:
     def test_bad_rule_id_rejected(self, lsig):
         with pytest.raises(CheckError):
             Derivation(Sequent.make(lsig), "Cut")
+
+
+class TestSlotReferences:
+    """A slot reference names an earlier slot: offset 0 would let a slot
+    be its own premise, and a negative offset a later slot."""
+
+    @staticmethod
+    def truth_teller_json(offset: int) -> dict:
+        # Ex x B |- T(t)^w from the template B |- T(t) by TR, where t = T(t)
+        step = {
+            "seq": {"ant": [["B", 1]], "suc": [["T(t)", 1]]},
+            "rule": "TR",
+            "principal": {"formula": "T(t)"},
+            "premises": [{"slotRef": offset}],
+        }
+        return {
+            "seq": {"ant": [["Ex x B", 1]], "suc": [["T(t)", "w"]]},
+            "rule": "ExistsLw",
+            "principal": {"formula": "Ex x B"},
+            "family": {"var": "n", "start": 0, "template": step},
+        }
+
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_offset_below_one_rejected(self, offset):
+        sig = load_signature("pred B/0\npred T/1\nname t = T(t)\n")
+        with pytest.raises(CheckError, match="offset must be >= 1"):
+            SlotRef(offset)
+        with pytest.raises(CheckError, match="offset must be >= 1"):
+            derivation_from_json(self.truth_teller_json(offset), sig)
+
+    def test_circular_conclusion_is_unsound(self):
+        """Why the circular derivation must not check: its conclusion fails
+        at B = 1, T(t) = 0, a fixed point of t's naming."""
+        sig = load_signature("pred B/0\npred T/1\nname t = T(t)\n")
+        t_of_t = Atom("T", (Const("t"),))
+        v = Valuation(sig, atom_values={Atom("B", ()): F(1), t_of_t: F(0)})
+        seq = Sequent.from_json(self.truth_teller_json(1)["seq"], sig)
+        assert not sequent_sound(v, seq)

@@ -1,11 +1,17 @@
+import copy
 import json
+import random
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqlogic.cli import main
 from mqlogic.calculus import Derivation, derivation_to_json
-from mqlogic.derivations import liar_signature, prop3_derivation
+from mqlogic.derivations import liar_signature, prop1_derivation, prop3_derivation
+from mqlogic.fuzz import generate_derivation, toy_signature
 from mqlogic.multiset import Sequent
 from mqlogic.syntax import Atom, Const, Neg
 
@@ -155,6 +161,54 @@ class TestCheckDerivation:
         assert (node["path"], node["rule"], node["ok"]) == ("root", "NegL", False)
         assert "principal formula ~T(l) does not occur" in node["message"]
 
+    INIT = {"seq": {"ant": [["T(l)", 1]], "suc": [["T(l)", 1]]}, "rule": "Init"}
+
+    @pytest.mark.parametrize(
+        "data, depth, message",
+        [
+            ({"rule": "Init"}, "8", "lacks the field 'seq'"),
+            ([], "8", "must be a JSON object"),
+            ({**INIT, "rule": "Bogus"}, "8", "unknown rule id 'Bogus'"),
+            (
+                {
+                    "seq": {"ant": [["Ex x T(x)", 1]], "suc": []},
+                    "rule": "ExistsLw",
+                    "family": {"var": "n", "start": 1, "template": INIT},
+                },
+                "8",
+                "start index must equal the explicit-slot count",
+            ),
+            (
+                {
+                    "seq": {"ant": [["Ex x T(x)", 1]], "suc": []},
+                    "rule": "ExistsLw",
+                    "family": {"var": None, "start": 0, "template": INIT},
+                },
+                "8",
+                "family index must be a variable name, got None",
+            ),
+            (INIT, "0", "depth must be >= 1"),
+            (
+                {**INIT, "rule": "TL", "premises": [{"slotRef": 0}]},
+                "8",
+                "slot reference offset must be >= 1",
+            ),
+        ],
+        ids=["missing-seq", "top-level-list", "bad-rule", "start-mismatch",
+             "family-var-null", "depth-0", "slot-ref-0"],
+    )
+    def test_malformed_input_exit_2(
+        self, capsys, tmp_path, liar_sig, data, depth, message
+    ):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(data))
+        code = main(
+            ["check-derivation", "-d", str(d), "--sig", liar_sig, "--depth", depth]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and message in err
+
 
 class TestFuzzCommand:
     def test_json_output(self, capsys):
@@ -257,3 +311,76 @@ class TestRepro:
         assert code == 2
         assert captured.out == ""
         assert f"{option[2:]} must be >= 1, got {value}" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# check-derivation on damaged input: derivation JSON from the generator and
+# the builtin derivations, then keys deleted, fields given the wrong type,
+# bad rule ids, bad slot references and start/explicit mismatches.
+
+SIGNATURES = {
+    "toy": "pred P/1\npred Q/1\nconst a\nconst b\n",
+    "liar": "pred T/1\nname l = ~Ex x T(l)\n",
+    "coding": (
+        "arith 0 s\nfun fm/2\nfun tdot/1\nname mu = ~Ex x T(fm(x, mu))\n"
+        "rewrite fm(0, y) => y\nrewrite fm(s(n), y) => tdot(fm(n, y))\n"
+        "rewrite tdot(t) => quote(T(t))\n"
+    ),
+}
+WRONG_VALUES = [None, 0, -1, 1.5, True, "", "x", "w", [], [[1]], {}, {"formula": 3}]
+BAD_RULES = ["Bogus", "", "init", "Cut", 7, None]
+SLOT_OFFSETS = [0, -1, -4, 1, 2, 10**6, "1", "x", None, 1.5, []]
+
+
+def _json_dicts(x):
+    if isinstance(x, dict):
+        yield x
+        for v in x.values():
+            yield from _json_dicts(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _json_dicts(v)
+
+
+@st.composite
+def damaged_derivations(draw):
+    base = draw(st.sampled_from(["toy", "liar", "coding"]))
+    if base == "toy":
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        d = generate_derivation(rng, toy_signature(), draw(st.integers(0, 3)))
+    else:
+        d = (prop3_derivation() if base == "liar" else prop1_derivation(2)).derivation
+    data = derivation_to_json(d)
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_json_dicts(data))))
+        damage = draw(st.sampled_from(["delete", "retype", "rule", "slotRef", "start"]))
+        if damage == "delete" and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif damage == "retype" and node:
+            value = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+            node[draw(st.sampled_from(sorted(node)))] = value
+        elif damage == "rule":
+            node["rule"] = draw(st.sampled_from(BAD_RULES))
+        elif damage == "slotRef":
+            ref = {"slotRef": draw(st.sampled_from(SLOT_OFFSETS))}
+            premises = node.get("premises")
+            node["premises"] = (premises if isinstance(premises, list) else []) + [ref]
+        elif damage == "start":
+            node["start"] = draw(st.integers(-2, 4))
+    if draw(st.integers(0, 19)) == 0:
+        data = draw(st.sampled_from([[], [data], "x", 3, None]))
+    return SIGNATURES[base], data
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_derivations())
+def test_check_derivation_on_damaged_input(case):
+    """No exception escapes, and the exit code is 0, 1 or 2."""
+    sig_text, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        sig, d = Path(tmp) / "s.sig", Path(tmp) / "d.json"
+        sig.write_text(sig_text)
+        d.write_text(json.dumps(data))
+        argv = ["check-derivation", "-d", str(d), "--sig", str(sig), "--depth", "2"]
+        code = main(argv)
+    assert code in (0, 1, 2)

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from mqlogic.calculus import MULTIPLICATIVE, check_derivation
+from mqlogic.calculus import MULTIPLICATIVE, check_derivation, derivation_nodes
 from mqlogic.fuzz import (
     FuzzConfig,
     RULE_CHOICES,
-    all_conclusions,
     collect_atoms,
     existsr_value_instance,
     fuzz_rule,
@@ -97,8 +96,8 @@ class TestDerivationGenerator:
             atoms = collect_atoms(d)
             for _ in range(200):
                 v = random_valuation(rng, sig, atoms)
-                for seq in all_conclusions(d):
-                    assert sequent_sound(v, seq)
+                for node in derivation_nodes(d):
+                    assert sequent_sound(v, node.conclusion)
 
     def test_sampler_hits_bounds(self):
         rng = random.Random(0)
