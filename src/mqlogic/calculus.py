@@ -27,6 +27,7 @@ from .multiset import (
     OmegaMultiset,
     Sequent,
     SequentSide,
+    json_value,
 )
 from .syntax import (
     App,
@@ -946,7 +947,7 @@ def _derivation_from_json(data: dict, sig: Signature) -> Derivation:
     premises: list[Union[Derivation, SlotRef]] = []
     for p in data.get("premises", []):
         if isinstance(p, dict) and "slotRef" in p:
-            premises.append(SlotRef(int(p["slotRef"])))
+            premises.append(SlotRef(json_value(p["slotRef"], "slotRef")))
         else:
             premises.append(_derivation_from_json(p, sig))
     family = None
@@ -954,7 +955,7 @@ def _derivation_from_json(data: dict, sig: Signature) -> Derivation:
         f = data["family"]
         family = UniformFamily(
             f["var"],
-            int(f["start"]),
+            json_value(f["start"], "start"),
             _derivation_from_json(f["template"], sig),
             tuple(_derivation_from_json(e, sig) for e in f.get("explicit", [])),
         )

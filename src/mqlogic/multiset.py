@@ -75,6 +75,16 @@ def _validate_mult(m: Multiplicity) -> None:
         raise ValueError(f"multiplicity must be a positive integer or OMEGA: {m!r}")
 
 
+def json_value(value, field: str, kind: type = int, minimum: Optional[int] = None):
+    """``value`` when its type is exactly ``kind`` (so no bool, float or
+    string passes as an int) and it is at least ``minimum``; otherwise a
+    TypeError naming ``field``.  The JSON loaders coerce nothing."""
+    if type(value) is not kind or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise TypeError(f"'{field}' must be a JSON {kind.__name__}{bound}, got {value!r}")
+    return value
+
+
 class OmegaMultiset:
     """Finite-support map from sentences to multiplicities in omega+1."""
 
@@ -298,13 +308,14 @@ class SequentSide:
     def _from_json(entries: list, fams: list, sig: Signature) -> "SequentSide":
         ms = OmegaMultiset(sig)
         for formula_text, m in entries:
-            ms.add(
-                parse_formula(formula_text, sig),
-                OMEGA if m == "w" else int(m),
-                allow_open=True,
-            )
+            m = OMEGA if m == "w" else json_value(m, "multiplicity", minimum=1)
+            ms.add(parse_formula(formula_text, sig), m, allow_open=True)
         families = [
-            FormulaFamily(f["var"], int(f["start"]), parse_formula(f["formula"], sig))
+            FormulaFamily(
+                json_value(f["var"], "var", str),
+                json_value(f["start"], "start", minimum=0),
+                parse_formula(f["formula"], sig),
+            )
             for f in fams
         ]
         return SequentSide(ms, families)

@@ -4,13 +4,18 @@ Used to evaluate a sentence as a function of a single undetermined atom
 (sum-quantifier mode) and to solve the induced fixed-point condition
 exactly.  Pieces partition [0, 1]; degenerate single-point pieces are
 first-class because divergence boundaries produce isolated points.
+
+Every clause that cuts a piece (the clamp at 1, the divergence of a
+series) cuts it with ``_split`` at one point and chooses per part by the
+value at the part's midpoint; ``_merge`` then joins two contiguous pieces
+whenever one affine part describes both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .semantics import (
     ONE,
@@ -32,14 +37,15 @@ class Interval:
     closed_hi: bool
 
     def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        if self.lo == self.hi:
-            return not (self.closed_lo and self.closed_hi)
-        return False
+        return self.lo > self.hi or (
+            self.lo == self.hi and not (self.closed_lo and self.closed_hi)
+        )
 
     def is_point(self) -> bool:
         return self.lo == self.hi and self.closed_lo and self.closed_hi
+
+    def midpoint(self) -> Fraction:
+        return (self.lo + self.hi) / 2
 
     def contains(self, v: Fraction) -> bool:
         if v < self.lo or v > self.hi:
@@ -89,9 +95,7 @@ class PiecewiseLinear:
 
     @staticmethod
     def constant(c: Fraction) -> "PiecewiseLinear":
-        return PiecewiseLinear(
-            [Piece(Interval(ZERO, ONE, True, True), ZERO, Fraction(c))]
-        )
+        return PiecewiseLinear([Piece(Interval(ZERO, ONE, True, True), ZERO, Fraction(c))])
 
     @staticmethod
     def identity() -> "PiecewiseLinear":
@@ -103,19 +107,12 @@ class PiecewiseLinear:
                 return p.value_at(v)
         raise ValueError(f"value {v} outside [0,1]")
 
-    def map_affine(self, fn: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]):
-        return PiecewiseLinear(
-            [Piece(p.interval, *fn(p.a, p.b)) for p in self.pieces]
-        )
-
     def __repr__(self) -> str:
-        return " ; ".join(
-            f"{p.interval} -> {p.a}*v+{p.b}" for p in self.pieces
-        )
+        return " ; ".join(f"{p.interval} -> {p.a}*v+{p.b}" for p in self.pieces)
 
 
 def one_minus(f: PiecewiseLinear) -> PiecewiseLinear:
-    return f.map_affine(lambda a, b: (-a, ONE - b))
+    return PiecewiseLinear(Piece(p.interval, -p.a, ONE - p.b) for p in f.pieces)
 
 
 def _refine_many(fns: list[PiecewiseLinear]) -> list[tuple[Interval, list[Piece]]]:
@@ -136,111 +133,78 @@ def _refine_many(fns: list[PiecewiseLinear]) -> list[tuple[Interval, list[Piece]
     return acc
 
 
+def _split(iv: Interval, r: Fraction) -> list[Interval]:
+    """The nonempty parts of ``iv`` below ``r``, at ``r`` and above ``r``;
+    ``[iv]`` when ``r`` lies outside ``iv``."""
+    if not iv.contains(r):
+        return [iv]
+    parts = (
+        Interval(iv.lo, r, iv.closed_lo, False),
+        Interval(r, r, True, True),
+        Interval(r, iv.hi, False, iv.closed_hi),
+    )
+    return [part for part in parts if not part.is_empty()]
+
+
 def add(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
-    pieces = []
-    for interval, (pf, pg) in (
-        (iv, tuple(ps)) for iv, ps in _refine_many([f, g])
-    ):
-        pieces.append(Piece(interval, pf.a + pg.a, pf.b + pg.b))
-    return _merge(PiecewiseLinear(pieces))
+    return _merge(
+        Piece(iv, pf.a + pg.a, pf.b + pg.b) for iv, (pf, pg) in _refine_many([f, g])
+    )
 
 
 def _clamp_piece(piece: Piece) -> list[Piece]:
-    """Replace the region of a piece where it exceeds 1 with the constant 1."""
-    iv, a, b = piece.interval, piece.a, piece.b
-    if a == 0:
-        return [Piece(iv, ZERO, ONE)] if b > ONE else [piece]
-    r = (ONE - b) / a
-    lo_ok = piece.value_at(iv.lo) <= ONE
-    hi_ok = piece.value_at(iv.hi) <= ONE
-    if lo_ok and hi_ok:
+    """Replace the region of a piece where it exceeds 1 with the constant 1.
+
+    The piece is split at its crossing of 1 only when some part exceeds 1;
+    the crossing point itself keeps the affine part (its value is exactly 1).
+    """
+    a, b = piece.a, piece.b
+    parts = [piece.interval] if a == 0 else _split(piece.interval, (ONE - b) / a)
+    over = [piece.value_at(part.midpoint()) > ONE for part in parts]
+    if not any(over):
         return [piece]
-    if not lo_ok and not hi_ok:
-        return [Piece(iv, ZERO, ONE)]
-    # crossing point r is interior (or at an endpoint with the other side
-    # strictly above); the affine side keeps r, where the value is exactly 1.
-    left = intersect(iv, Interval(ZERO, r, True, True))
-    right = intersect(iv, Interval(r, ONE, False, True))
-    out: list[Piece] = []
-    if left is not None:
-        out.append(Piece(left, a, b) if lo_ok else Piece(left, ZERO, ONE))
-    if right is not None:
-        out.append(Piece(right, a, b) if hi_ok else Piece(right, ZERO, ONE))
-    return out
+    return [
+        Piece(part, ZERO, ONE) if above else Piece(part, a, b)
+        for part, above in zip(parts, over)
+    ]
 
 
 def clamp_upper(f: PiecewiseLinear) -> PiecewiseLinear:
-    pieces: list[Piece] = []
-    for p in f.pieces:
-        pieces.extend(_clamp_piece(p))
-    return _merge(PiecewiseLinear(pieces))
+    return _merge(q for p in f.pieces for q in _clamp_piece(p))
 
 
-def _merge(f: PiecewiseLinear) -> PiecewiseLinear:
-    """Canonicalise: order pieces, fold degenerate points to constants,
-    and merge contiguous pieces with the same affine part."""
-    pieces = sorted(
-        (p for p in f.pieces if not p.interval.is_empty()),
-        key=lambda p: (p.interval.lo, not p.interval.closed_lo),
-    )
+def _shared_part(prev: Piece, p: Piece) -> Optional[Piece]:
+    """Of two contiguous pieces, the first (left, then right) whose affine
+    part describes both, or None."""
+    for q, other in ((prev, p), (p, prev)):
+        if (q.a, q.b) == (other.a, other.b) or (
+            other.interval.is_point() and q.value_at(other.interval.lo) == other.b
+        ):
+            return q
+    return None
+
+
+def _merge(pieces: Iterable[Piece]) -> PiecewiseLinear:
+    """Canonicalise: order the pieces, fold points to constants, and join
+    two contiguous pieces when one affine part describes both.  A point
+    takes its neighbour's affine part, the left neighbour first."""
     canon: list[Piece] = []
-    for p in pieces:
-        if p.interval.is_point():
-            p = Piece(p.interval, ZERO, p.value_at(p.interval.lo))
+    for p in sorted(
+        (p for p in pieces if not p.interval.is_empty()),
+        key=lambda p: (p.interval.lo, not p.interval.closed_lo),
+    ):
+        iv = p.interval
+        if iv.is_point():
+            p = Piece(iv, ZERO, p.value_at(iv.lo))
         if canon:
-            prev = canon[-1]
-            contiguous = prev.interval.hi == p.interval.lo and (
-                prev.interval.closed_hi != p.interval.closed_lo
-            )
-            same = prev.a == p.a and prev.b == p.b
-            point_joinable = (
-                p.interval.is_point()
-                and prev.value_at(p.interval.lo) == p.b
-                and prev.interval.hi == p.interval.lo
-                and not prev.interval.closed_hi
-            )
-            prev_point_joinable = (
-                prev.interval.is_point()
-                and p.value_at(prev.interval.lo) == prev.b
-                and p.interval.lo == prev.interval.lo
-                and not p.interval.closed_lo
-            )
-            if contiguous and same:
-                canon[-1] = Piece(
-                    Interval(
-                        prev.interval.lo,
-                        p.interval.hi,
-                        prev.interval.closed_lo,
-                        p.interval.closed_hi,
-                    ),
-                    p.a,
-                    p.b,
-                )
-                continue
-            if point_joinable:
-                canon[-1] = Piece(
-                    Interval(
-                        prev.interval.lo,
-                        p.interval.hi,
-                        prev.interval.closed_lo,
-                        True,
-                    ),
-                    prev.a,
-                    prev.b,
-                )
-                continue
-            if prev_point_joinable:
-                canon[-1] = Piece(
-                    Interval(
-                        prev.interval.lo,
-                        p.interval.hi,
-                        True,
-                        p.interval.closed_hi,
-                    ),
-                    p.a,
-                    p.b,
-                )
-                continue
+            piv = canon[-1].interval
+            if piv.hi == iv.lo and piv.closed_hi != iv.closed_lo:
+                q = _shared_part(canon[-1], p)
+                if q is not None:
+                    canon[-1] = Piece(
+                        Interval(piv.lo, iv.hi, piv.closed_lo, iv.closed_hi), q.a, q.b
+                    )
+                    continue
         canon.append(p)
     return PiecewiseLinear(canon)
 
@@ -250,42 +214,22 @@ def _exists_sum(
 ) -> PiecewiseLinear:
     """Sum-quantifier combination: clamp(sum over the instance family).
 
-    On regions where the tail is positive the series diverges (value 1);
-    where the tail vanishes the value is the clamped finite sum of the
-    explicit instances.  Isolated tail zeros become degenerate pieces.
+    Each interval of the refinement is split at the tail's root.  Where the
+    tail is positive the series diverges (value 1); where it vanishes the
+    value is the clamped finite sum of the explicit instances.  Isolated
+    tail zeros become degenerate pieces.
     """
     pieces: list[Piece] = []
-    for interval, stack in _refine_many(explicit + [tail]):
-        tp = stack[-1]
-        sum_a = sum((p.a for p in stack[:-1]), ZERO)
-        sum_b = sum((p.b for p in stack[:-1]), ZERO)
-        finite = Piece(interval, sum_a, sum_b)
-        if tp.a == 0:
-            if tp.b > 0:
-                pieces.append(Piece(interval, ZERO, ONE))
+    for interval, (*instances, tp) in _refine_many(explicit + [tail]):
+        finite_a = sum((p.a for p in instances), ZERO)
+        finite_b = sum((p.b for p in instances), ZERO)
+        parts = [interval] if tp.a == 0 else _split(interval, -tp.b / tp.a)
+        for part in parts:
+            if tp.value_at(part.midpoint()) > 0:
+                pieces.append(Piece(part, ZERO, ONE))
             else:
-                pieces.extend(_clamp_piece(finite))
-            continue
-        root = -tp.b / tp.a
-        covered = False
-        if interval.contains(root):
-            covered = True
-            for part in (
-                intersect(interval, Interval(ZERO, root, True, False)),
-                intersect(interval, Interval(root, root, True, True)),
-                intersect(interval, Interval(root, ONE, False, True)),
-            ):
-                if part is None:
-                    continue
-                if part.is_point():
-                    val = min(ONE, finite.value_at(root))
-                    pieces.append(Piece(part, ZERO, val))
-                else:
-                    pieces.append(Piece(part, ZERO, ONE))
-        if not covered:
-            # tail strictly positive on the whole interval
-            pieces.append(Piece(interval, ZERO, ONE))
-    return _merge(PiecewiseLinear(pieces))
+                pieces.extend(_clamp_piece(Piece(part, finite_a, finite_b)))
+    return _merge(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +294,7 @@ def fixed_points(f: PiecewiseLinear) -> FixedPointSet:
         v = p.b / (ONE - p.a)
         if p.interval.contains(v):
             points.append(v)
-    covered = [
-        v for v in points if any(iv.contains(v) for iv in intervals)
-    ]
+    covered = [v for v in points if any(iv.contains(v) for iv in intervals)]
     uniq = sorted(set(points) - set(covered))
     return FixedPointSet(tuple(uniq), tuple(intervals))
 

@@ -108,6 +108,9 @@ class TestCheckSequent:
         assert data == {"sound": False, "antecedent": "1", "succedent": "0"}
 
 
+INIT = {"seq": {"ant": [["T(l)", 1]], "suc": [["T(l)", 1]]}, "rule": "Init"}
+
+
 class TestCheckDerivation:
     def test_policies(self, capsys, tmp_path, liar_sig):
         built = prop3_derivation()
@@ -161,8 +164,6 @@ class TestCheckDerivation:
         assert (node["path"], node["rule"], node["ok"]) == ("root", "NegL", False)
         assert "principal formula ~T(l) does not occur" in node["message"]
 
-    INIT = {"seq": {"ant": [["T(l)", 1]], "suc": [["T(l)", 1]]}, "rule": "Init"}
-
     @pytest.mark.parametrize(
         "data, depth, message",
         [
@@ -193,9 +194,53 @@ class TestCheckDerivation:
                 "8",
                 "slot reference offset must be >= 1",
             ),
+            *(
+                (
+                    {**INIT, "rule": "TL", "premises": [{"slotRef": ref}]},
+                    "8",
+                    f"'slotRef' must be a JSON int, got {ref!r}",
+                )
+                for ref in (1.9, True, "2")
+            ),
+            *(
+                (
+                    {
+                        "seq": {"ant": [["Ex x T(x)", 1]], "suc": []},
+                        "rule": "ExistsLw",
+                        "family": {"var": "n", "start": start, "template": INIT},
+                    },
+                    "8",
+                    f"'start' must be a JSON int, got {start!r}",
+                )
+                for start in (0.0, False)
+            ),
+            (
+                {**INIT, "seq": {"suc": [], "sucFams": [
+                    {"var": None, "start": 0, "formula": "T(l)"}]}},
+                "8",
+                "'var' must be a JSON str, got None",
+            ),
+            (
+                {**INIT, "seq": {"suc": [], "sucFams": [
+                    {"var": "n", "start": -3, "formula": "T(n)"}]}},
+                "8",
+                "'start' must be a JSON int >= 0, got -3",
+            ),
+            *(
+                (
+                    {**INIT, "seq": {"ant": [["T(l)", m]], "suc": [["T(l)", 1]]}},
+                    "8",
+                    f"'multiplicity' must be a JSON int >= 1, got {m!r}",
+                )
+                for m in (1.9, True, "3")
+            ),
         ],
         ids=["missing-seq", "top-level-list", "bad-rule", "start-mismatch",
-             "family-var-null", "depth-0", "slot-ref-0"],
+             "family-var-null", "depth-0", "slot-ref-0", "slot-ref-float",
+             "slot-ref-bool", "slot-ref-string", "family-start-float",
+             "family-start-bool", "sequent-family-var-null",
+             "sequent-family-start-negative", "multiplicity-float",
+             "multiplicity-bool", "multiplicity-string"],
     )
     def test_malformed_input_exit_2(
         self, capsys, tmp_path, liar_sig, data, depth, message
@@ -316,7 +361,10 @@ class TestRepro:
 # ---------------------------------------------------------------------------
 # check-derivation on damaged input: derivation JSON from the generator and
 # the builtin derivations, then keys deleted, fields given the wrong type,
-# bad rule ids, bad slot references and start/explicit mismatches.
+# bad rule ids, bad slot references and start/explicit mismatches.  Last, a
+# slot reference, family start or multiplicity may be given a number that is
+# not a JSON integer (a float, bool or numeric string), or a family index a
+# value that is not a string; the loader must refuse that with exit 2.
 
 SIGNATURES = {
     "toy": "pred P/1\npred Q/1\nconst a\nconst b\n",
@@ -330,6 +378,8 @@ SIGNATURES = {
 WRONG_VALUES = [None, 0, -1, 1.5, True, "", "x", "w", [], [[1]], {}, {"formula": 3}]
 BAD_RULES = ["Bogus", "", "init", "Cut", 7, None]
 SLOT_OFFSETS = [0, -1, -4, 1, 2, 10**6, "1", "x", None, 1.5, []]
+NOT_INTEGERS = [1.9, 1.0, 0.0, True, False, "1", "3", "0"]
+NOT_NAMES = [None, 0, 1.5, True, [], {}]
 
 
 def _json_dicts(x):
@@ -369,18 +419,50 @@ def damaged_derivations(draw):
             node["start"] = draw(st.integers(-2, 4))
     if draw(st.integers(0, 19)) == 0:
         data = draw(st.sampled_from([[], [data], "x", 3, None]))
-    return SIGNATURES[base], data
+    refused = draw(st.booleans()) and _damage_number(draw, data)
+    return SIGNATURES[base], data, refused
+
+
+def _damage_number(draw, data) -> bool:
+    """Give one slot reference, family start or multiplicity a value that
+    is not a JSON integer, or one family index a value that is not a
+    string; False when ``data`` has no such field."""
+    dicts = list(_json_dicts(data))
+    fields = [(n, "var") for n in dicts if "var" in n]
+    fields += [(n, "start") for n in dicts if "var" in n]
+    fields += [(n, "premises") for n in dicts if "seq" in n]
+    fields += [
+        (entry, 1)
+        for n in dicts
+        for side in ("ant", "suc")
+        if isinstance(n.get(side), list)
+        for entry in n[side]
+        if isinstance(entry, list) and len(entry) == 2
+    ]
+    if not fields:
+        return False
+    node, key = draw(st.sampled_from(fields))
+    if key == "var":
+        node[key] = copy.deepcopy(draw(st.sampled_from(NOT_NAMES)))
+    elif key == "premises":
+        premises = node.get("premises")
+        ref = {"slotRef": draw(st.sampled_from(NOT_INTEGERS))}
+        node["premises"] = (premises if isinstance(premises, list) else []) + [ref]
+    else:
+        node[key] = draw(st.sampled_from(NOT_INTEGERS))
+    return True
 
 
 @settings(max_examples=300, deadline=None)
 @given(damaged_derivations())
 def test_check_derivation_on_damaged_input(case):
-    """No exception escapes, and the exit code is 0, 1 or 2."""
-    sig_text, data = case
+    """No exception escapes, and the exit code is 0, 1 or 2; it is 2 when a
+    number is not a JSON integer or a family index is not a string."""
+    sig_text, data, refused = case
     with tempfile.TemporaryDirectory() as tmp:
         sig, d = Path(tmp) / "s.sig", Path(tmp) / "d.json"
         sig.write_text(sig_text)
         d.write_text(json.dumps(data))
         argv = ["check-derivation", "-d", str(d), "--sig", str(sig), "--depth", "2"]
         code = main(argv)
-    assert code in (0, 1, 2)
+    assert code == 2 if refused else code in (0, 1, 2)

@@ -49,6 +49,29 @@ class TestPieces:
         assert g.at(F(1)) == F(1, 2)
         assert len(g.pieces) == 2
 
+    def test_clamp_keeps_piece_that_only_touches_one(self):
+        # -v + 3/2 reaches 1 only at its closed left end: no part exceeds 1,
+        # so the piece keeps that end instead of lending it to its neighbour
+        pieces = (
+            Piece(Interval(F(0), F(1, 2), True, False), F(0), F(1)),
+            Piece(Interval(F(1, 2), F(1), True, True), F(-1), F(3, 2)),
+        )
+        assert clamp_upper(PiecewiseLinear(pieces)).pieces == pieces
+
+    def test_clamped_crossing_joins_left_neighbour(self):
+        # 2v crosses 1 at its closed left end 1/2; that point joins the
+        # left piece v + 1/2, whose value there is also 1
+        f = PiecewiseLinear(
+            (
+                Piece(Interval(F(0), F(1, 2), True, False), F(1), F(1, 2)),
+                Piece(Interval(F(1, 2), F(1), True, True), F(2), F(0)),
+            )
+        )
+        assert clamp_upper(f).pieces == (
+            Piece(Interval(F(0), F(1, 2), True, True), F(1), F(1, 2)),
+            Piece(Interval(F(1, 2), F(1), False, True), F(0), F(1)),
+        )
+
 
 class TestParametric:
     def test_liar_profile(self, liar_env):
