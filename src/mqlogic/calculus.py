@@ -46,6 +46,7 @@ from .syntax import (
     enumerate_closed_terms,
     formulas_equal,
     free_vars,
+    normalize_term,
     parse_formula,
     render_formula,
     render_term,
@@ -124,10 +125,10 @@ class UniformFamily:
 def _instantiate_side(side: SequentSide, var: str, rep: Term, sig: Signature) -> SequentSide:
     out = OmegaMultiset(sig)
     for f, m in side.finite.items():
-        out.add(_subst(f, var, rep), m, allow_open=True)
+        out.add(_subst(f, {var: rep}), m, allow_open=True)
     fams = [
         fam if fam.var == var  # shadowed
-        else FormulaFamily(fam.var, fam.start, _subst(fam.template, var, rep))
+        else FormulaFamily(fam.var, fam.start, _subst(fam.template, {var: rep}))
         for fam in side.families
     ]
     return SequentSide(out, fams)
@@ -153,7 +154,7 @@ def instantiate_derivation(d: Derivation, var: str, rep: Term, sig: Signature) -
             instantiate_derivation(fam.template, var, rep, sig),
             tuple(instantiate_derivation(e, var, rep, sig) for e in fam.explicit),
         )
-    principal = None if d.principal is None else _subst(d.principal, var, rep)
+    principal = None if d.principal is None else _subst(d.principal, {var: rep})
     return Derivation(
         instantiate_sequent(d.conclusion, var, rep, sig), d.rule, prems, fam, principal
     )
@@ -295,10 +296,10 @@ class _RuleChecker:
         if not self.sig.has_arithmetic:
             terms = self._enum_terms()
             for i, u in enumerate(terms):
-                if self.sig.normalize_term(u) == self.sig.normalize_term(t):
+                if normalize_term(u, self.sig) == normalize_term(t, self.sig):
                     return i
             raise CheckError(f"term {render_term(t)} not in the enumeration prefix")
-        nf = self.sig.normalize_term(t)
+        nf = normalize_term(t, self.sig)
         if not isinstance(nf, Numeral):
             raise CheckError(
                 f"closed term {render_term(t)} does not normalize to numeral "
@@ -447,7 +448,7 @@ class _RuleChecker:
                 )
             if var in term_vars(p):
                 return False
-            return self.sig.normalize_term(p) == self.sig.normalize_term(s)
+            return normalize_term(p, self.sig) == normalize_term(s, self.sig)
 
         def walk(p: Formula, s: Formula) -> bool:
             if isinstance(p, Atom) and isinstance(s, Atom):
@@ -472,7 +473,7 @@ class _RuleChecker:
             return None
 
         def canon(w: Term) -> Term:
-            return self.sig.normalize_term(w) if not term_vars(w) else w
+            return normalize_term(w, self.sig) if not term_vars(w) else w
 
         ref = canon(witnesses[0])
         for w in witnesses[1:]:
@@ -656,7 +657,7 @@ class _RuleChecker:
         tpl = fam.template
         if tpl.ant.families or tpl.suc.families:
             return Verdict(False, "nested families in a premise template")
-        p_tpl = body if vacuous else _subst(body, var, Var(fam.var))
+        p_tpl = body if vacuous else _subst(body, {var: Var(fam.var)})
         if tpl.ant.finite.multiplicity_of(p_tpl) == 0:
             return Verdict(
                 False,

@@ -174,9 +174,6 @@ class OmegaMultiset:
             return NotImplemented
         return self._entries == other._entries
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash(frozenset(self._entries.items()))
-
     def __repr__(self) -> str:
         inner = ", ".join(
             f"{render_formula(f)}:{'w' if m is OMEGA else m}" for f, m in self.items()
@@ -198,11 +195,11 @@ class FormulaFamily:
     template: Formula
 
     def at(self, rep: Term) -> Formula:
-        return _subst(self.template, self.var, rep)
+        return _subst(self.template, {self.var: rep})
 
 
 def _family_key(sig: Signature, fam: FormulaFamily):
-    canon = normalize_formula(_subst(fam.template, fam.var, Var("#i")), sig)
+    canon = normalize_formula(_subst(fam.template, {fam.var: Var("#i")}), sig)
     return (fam.start, render_formula(canon))
 
 

@@ -28,23 +28,24 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .multiset import OMEGA, Multiplicity, OmegaMultiset, Sequent
 from .syntax import (
-    App,
     Atom,
     Cond,
     Const,
+    Env,
     Exists,
     Formula,
     Neg,
-    Quote,
     Signature,
     Term,
-    Var,
+    _subst,
+    _without,
     free_vars,
     normalize_formula,
+    normalize_term,
     render_formula,
     render_term,
+    substitute_term,
     subterms,
-    substitute,
     term_is_closed,
 )
 
@@ -179,7 +180,7 @@ class _EvalState:
     def normal_form(self, t: Term) -> Term:
         nf = self.normal_forms.get(t)
         if nf is None:
-            nf = self.normal_forms[t] = self.valuation.sig.normalize_term(t)
+            nf = self.normal_forms[t] = normalize_term(t, self.valuation.sig)
         return nf
 
     def render_key(self, t: Term) -> str:
@@ -189,39 +190,12 @@ class _EvalState:
         return key
 
 
-Env = dict[str, Term]  # variables to closed terms
-
-
-def _without(env: Env, var: str) -> Env:
-    if var not in env:
-        return env
-    return {x: t for x, t in env.items() if x != var}
-
-
-def _bind_term(t: Term, env: Env) -> Term:
-    """``t`` with the variables of ``env`` replaced, as ``substitute_term``
-    would replace them one by one."""
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if isinstance(t, App):
-        return App(t.fn, tuple(_bind_term(a, env) for a in t.args))
-    if isinstance(t, Quote):
-        return Quote(_bind_formula(t.body, env))
-    return t
-
-
-def _bind_formula(f: Formula, env: Env) -> Formula:
-    for x, t in env.items():
-        f = substitute(f, x, t)
-    return f
-
-
 def _bound_args(f: Formula, env: Env) -> Iterator[Term]:
     """The atom arguments of ``f`` under ``env``; a nested binder shields
-    its variable, as ``substitute`` stops at it."""
+    its variable, as ``_subst`` stops at it."""
     if isinstance(f, Atom):
         for arg in f.args:
-            yield _bind_term(arg, env)
+            yield substitute_term(arg, env)
     elif isinstance(f, Neg):
         yield from _bound_args(f.body, env)
     elif isinstance(f, Cond):
@@ -329,7 +303,7 @@ def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
     """Value of ``f`` with its free variables read from ``env``."""
     valuation = state.valuation
     if isinstance(f, Atom):
-        atom = Atom(f.pred, tuple(_bind_term(a, env) for a in f.args)) if env else f
+        atom = Atom(f.pred, tuple(substitute_term(a, env) for a in f.args)) if env else f
         value = state.constants.get(atom)
         if value is not None:
             return value
@@ -368,7 +342,7 @@ def _instances(
     if free - env.keys() - {var}:
         raise OpenFormulaError(
             "instance family needs at most one free variable: "
-            + render_formula(_bind_formula(body, env))
+            + render_formula(_subst(body, env))
         )
     terms = _relevant_terms(state, body, env)
     if var in free:

@@ -180,13 +180,23 @@ def free_vars(f: Formula) -> set[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def substitute_term(t: Term, x: str, s: Term) -> Term:
+Env = dict[str, Term]  # variables to the terms that replace them
+
+
+def _without(env: Env, var: str) -> Env:
+    if var not in env:
+        return env
+    return {x: t for x, t in env.items() if x != var}
+
+
+def substitute_term(t: Term, env: Env) -> Term:
+    """``t`` with each variable of ``env`` replaced by its term."""
     if isinstance(t, Var):
-        return s if t.name == x else t
+        return env.get(t.name, t)
     if isinstance(t, App):
-        return App(t.fn, tuple(substitute_term(a, x, s) for a in t.args))
+        return App(t.fn, tuple(substitute_term(a, env) for a in t.args))
     if isinstance(t, Quote):
-        return Quote(substitute(t.body, x, s))
+        return Quote(_subst(t.body, env))
     return t
 
 
@@ -198,20 +208,21 @@ def substitute(f: Formula, x: str, t: Term) -> Formula:
     """
     if not term_is_closed(t):
         raise ValueError("substitution requires a closed term")
-    return _subst(f, x, t)
+    return _subst(f, {x: t})
 
 
-def _subst(f: Formula, x: str, t: Term) -> Formula:
+def _subst(f: Formula, env: Env) -> Formula:
+    """``f`` with the free occurrences of each variable of ``env`` replaced
+    by its term; a binder shields its own variable."""
     if isinstance(f, Atom):
-        return Atom(f.pred, tuple(substitute_term(a, x, t) for a in f.args))
+        return Atom(f.pred, tuple(substitute_term(a, env) for a in f.args))
     if isinstance(f, Neg):
-        return Neg(_subst(f.body, x, t))
+        return Neg(_subst(f.body, env))
     if isinstance(f, Cond):
-        return Cond(_subst(f.lhs, x, t), _subst(f.rhs, x, t))
+        return Cond(_subst(f.lhs, env), _subst(f.rhs, env))
     if isinstance(f, Exists):
-        if f.var == x:
-            return f
-        return Exists(f.var, _subst(f.body, x, t))
+        inner = _without(env, f.var)
+        return Exists(f.var, _subst(f.body, inner)) if inner else f
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -400,7 +411,7 @@ class Signature:
         if free_vars(formula):
             raise SignatureError("only sentences can be named")
         self._assign_code(const)
-        key = self.normalize_formula(formula)
+        key = normalize_formula(formula, self)
         if key in self._name_of_formula:
             raise SignatureError(
                 f"formula already named by '{self._name_of_formula[key]}'"
@@ -422,7 +433,7 @@ class Signature:
         if free_vars(formula):
             raise SignatureError("only sentences have canonical names")
         with self._lock:
-            key = self.normalize_formula(formula)
+            key = normalize_formula(formula, self)
             existing = self._name_of_formula.get(key)
             if existing is not None:
                 return Const(existing)
@@ -447,7 +458,7 @@ class Signature:
         In arithmetic signatures names normalise to their numeral codes,
         so numerals that are codes also resolve.
         """
-        nf = self.normalize_term(t)
+        nf = normalize_term(t, self)
         if isinstance(nf, Const) and nf.name in self._named_formula:
             return self._named_formula[nf.name]
         if isinstance(nf, Numeral) and nf.value in self._code_name:
@@ -479,13 +490,6 @@ class Signature:
         self._rule_index = None
         self._normal_forms = {}
 
-    # -- normalisation (delegates, kept here for convenience) --------------
-
-    def normalize_term(self, t: Term, budget: Optional[int] = None) -> Term:
-        return normalize_term(t, self, budget)
-
-    def normalize_formula(self, f: Formula, budget: Optional[int] = None) -> Formula:
-        return normalize_formula(f, self, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +632,7 @@ def _instantiate(sig: Signature, rhs: Term, binding: dict[str, Term]) -> Term:
             sig, App(rhs.fn, tuple(_instantiate(sig, a, binding) for a in rhs.args))
         )
     if isinstance(rhs, Quote):
-        body = rhs.body
-        for x, t in binding.items():
-            body = substitute(body, x, t)
+        body = _subst(rhs.body, binding)
         if free_vars(body):
             raise SyntaxError_("quote did not close under instantiation")
         # the quoted sentence's own terms are normalised through name_of
@@ -896,7 +898,6 @@ class _Parser:
         self,
         text: str,
         sig: Signature,
-        bound: Optional[set[str]] = None,
         open_quotes: bool = False,
         lenient: bool = False,
     ):
@@ -904,7 +905,7 @@ class _Parser:
         self.sig = sig
         self.toks = _tokenize(text)
         self.i = 0
-        self.bound: set[str] = set(bound or ())
+        self.bound: set[str] = set()
         self.open_quotes = open_quotes
         self.lenient = lenient
 

@@ -24,10 +24,8 @@ from mqlogic.semantics import (
     TailSeq,
     UngroundedError,
     Valuation,
-    _bind_term,
     _EvalState,
     _relevant_terms,
-    _without,
     check_lemma1_instance,
     eval_formula,
     eval_antecedent,
@@ -48,6 +46,7 @@ from mqlogic.syntax import (
     Numeral,
     Signature,
     Var,
+    _without,
     formulas_equal,
     free_vars,
     load_signature,
@@ -58,6 +57,7 @@ from mqlogic.syntax import (
     render_formula,
     render_term,
     substitute,
+    substitute_term,
     subterms,
     term_is_closed,
 )
@@ -489,7 +489,7 @@ def ref_fraction_value(v: Valuation, f) -> F:
 
     def walk(g, env):
         if isinstance(g, Atom):
-            atom = Atom(g.pred, tuple(_bind_term(a, env) for a in g.args)) if env else g
+            atom = Atom(g.pred, tuple(substitute_term(a, env) for a in g.args)) if env else g
             key = state.atom_key(atom)
             if v.transparent and g.pred == "T" and g.args:
                 named = v.sig.named_formula(key.args[0])
