@@ -2,14 +2,18 @@
 """Run every canned experiment and print a one-line summary per id.
 
 Usage: python scripts/run_repro.py [--json] [--seed N]
+Imports mqlogic from the checkout's src/, ahead of any installed copy.
 Exits nonzero if any experiment fails.
 """
 
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from mqlogic.experiments import EXPERIMENT_IDS, run_experiment
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mqlogic.experiments import EXPERIMENT_IDS, run_experiment  # noqa: E402
 
 
 def main() -> int:

@@ -24,7 +24,6 @@ from .multiset import (
     OMEGA,
     FormulaFamily,
     Multiplicity,
-    OmegaMultiset,
     Sequent,
     SequentSide,
     json_value,
@@ -123,15 +122,13 @@ class UniformFamily:
 
 
 def _instantiate_side(side: SequentSide, var: str, rep: Term, sig: Signature) -> SequentSide:
-    out = OmegaMultiset(sig)
-    for f, m in side.finite.items():
-        out.add(_subst(f, {var: rep}), m, allow_open=True)
+    entries = [(_subst(f, {var: rep}), m) for f, m in side.items()]
     fams = [
         fam if fam.var == var  # shadowed
         else FormulaFamily(fam.var, fam.start, _subst(fam.template, {var: rep}))
         for fam in side.families
     ]
-    return SequentSide(out, fams)
+    return SequentSide(sig, entries, fams)
 
 
 def instantiate_sequent(s: Sequent, var: str, rep: Term, sig: Signature) -> Sequent:
@@ -186,7 +183,7 @@ def _derivation_uses_var(d: Derivation, var: str) -> bool:
         if node.principal is not None and var in free_vars(node.principal):
             return True
         for side in (node.conclusion.ant, node.conclusion.suc):
-            if any(var in free_vars(f) for f in side.finite.support()):
+            if any(var in free_vars(f) for f in side.support()):
                 return True
             if any(f.var != var and var in free_vars(f.template) for f in side.families):
                 return True
@@ -208,7 +205,7 @@ def _check_template_uniformity(d: Derivation, var: str) -> None:
     rebound by a quantifier in any template formula."""
     for node in derivation_nodes(d):
         for side in (node.conclusion.ant, node.conclusion.suc):
-            if any(_rebinds(f, var) for f in side.finite.support()):
+            if any(_rebinds(f, var) for f in side.support()):
                 raise CheckError(
                     f"family index '{var}' rebound by a quantifier in the template"
                 )
@@ -327,7 +324,7 @@ class _RuleChecker:
         """The principal, or without one every formula on ``side``, kept
         when it has the shape ``want`` (``object`` keeps every formula).
         An atomic principal is a truth atom ``T(t)``."""
-        cands = side.finite.support() if principal is None else (principal,)
+        cands = side.support() if principal is None else (principal,)
         if want is Atom:
             return [f for f in cands if isinstance(f, Atom) and f.pred == "T"
                     and len(f.args) == 1]
@@ -369,8 +366,8 @@ class _RuleChecker:
         self._need(premises, 0, "Init")
         for f in self._candidates(conclusion.ant, principal, object):
             if (
-                conclusion.ant.finite.multiplicity_of(f) != 0
-                and conclusion.suc.finite.multiplicity_of(f) != 0
+                conclusion.ant.multiplicity_of(f) != 0
+                and conclusion.suc.multiplicity_of(f) != 0
             ):
                 return Verdict(True)
         return Verdict(False, "no formula occurs on both sides of the sequent")
@@ -407,13 +404,13 @@ class _RuleChecker:
         p0, p1 = premises
         last = Verdict(False, "no conditional in the antecedent")
         for f in self._candidates(conclusion.ant, principal, Cond):
-            if p0.suc.finite.multiplicity_of(f.lhs) == 0:
+            if p0.suc.multiplicity_of(f.lhs) == 0:
                 last = Verdict(
                     False,
                     f"first premise lacks {render_formula(f.lhs)} in the succedent",
                 )
                 continue
-            if p1.ant.finite.multiplicity_of(f.rhs) == 0:
+            if p1.ant.multiplicity_of(f.rhs) == 0:
                 last = Verdict(
                     False,
                     f"second premise lacks {render_formula(f.rhs)} in the antecedent",
@@ -511,7 +508,7 @@ class _RuleChecker:
         family for the quantified formula: every entry an instance, and the
         closed-term enumeration covered (spot-checked)."""
         var, body = exists_f.var, exists_f.body
-        for f, _ in part.finite.items():
+        for f, _ in part.items():
             if self._instance_witness(body, var, f) is None:
                 return Verdict(
                     False,
@@ -525,12 +522,12 @@ class _RuleChecker:
                     f"family {render_formula(fam.template)} is not an instance "
                     f"family of {render_formula(exists_f)}",
                 )
-        if part.finite.is_empty() and not part.families:
+        if part.is_empty():
             return Verdict(False, "the instance family is missing entirely")
         # coverage spot check over the enumeration prefix
         for t in self._enum_terms():
             required = substitute(body, var, t)
-            if part.finite.multiplicity_of(required) != 0:
+            if part.multiplicity_of(required) != 0:
                 continue
             hint = self._slot_for_term(t)
             covered = any(
@@ -568,10 +565,9 @@ class _RuleChecker:
                     )
                     continue
                 want: Multiplicity = 1 if self.policy == ADDITIVE else OMEGA
-                expected = OmegaMultiset(self.sig, [(f.body, want)])
-                if residual.finite == expected:
+                if residual == SequentSide(self.sig, [(f.body, want)]):
                     return Verdict(True)
-                got = residual.finite.multiplicity_of(f.body)
+                got = residual.multiplicity_of(f.body)
                 last = Verdict(
                     False,
                     f"vacuous ExistsRw under the {self.policy} policy needs "
@@ -613,15 +609,14 @@ class _RuleChecker:
                     "the multiplicative policy requires the omega-premise family",
                 )
                 continue
-            if premise.ant.finite.multiplicity_of(f.body) == 0:
+            if premise.ant.multiplicity_of(f.body) == 0:
                 last = Verdict(
                     False,
                     f"premise lacks the instance {render_formula(f.body)}",
                 )
                 continue
             expected = Sequent(
-                premise.ant.with_removed_one(f.body).with_added(f),
-                premise.suc.copy(),
+                premise.ant.with_removed_one(f.body).with_added(f), premise.suc
             )
             if expected == conclusion:
                 return Verdict(True)
@@ -632,22 +627,22 @@ class _RuleChecker:
         return last
 
     def _index_tail(
-        self, part: OmegaMultiset, fam: SequentFamily
+        self, part: SequentSide, fam: SequentFamily
     ) -> Optional[SequentSide]:
         """What one side of the template contributes to the conclusion over
         the slots from ``fam.start`` on: a family per copy of an
         index-dependent formula, omega copies of any other.  None when an
         index-dependent formula has omega multiplicity."""
         fams: list[FormulaFamily] = []
-        tail = OmegaMultiset(self.sig)
+        tail = []
         for g, m in part.items():
             if fam.var not in free_vars(g):
-                tail.add(g, OMEGA, allow_open=True)
+                tail.append((g, OMEGA))
             elif m is OMEGA:
                 return None
             else:
                 fams.extend([FormulaFamily(fam.var, fam.start, g)] * m)
-        return SequentSide(tail, fams)
+        return SequentSide(self.sig, tail, fams)
 
     def _exists_left_family_one(
         self, conclusion: Sequent, f: Exists, fam: SequentFamily
@@ -658,30 +653,28 @@ class _RuleChecker:
         if tpl.ant.families or tpl.suc.families:
             return Verdict(False, "nested families in a premise template")
         p_tpl = body if vacuous else _subst(body, {var: Var(fam.var)})
-        if tpl.ant.finite.multiplicity_of(p_tpl) == 0:
+        if tpl.ant.multiplicity_of(p_tpl) == 0:
             return Verdict(
                 False,
                 f"template premise lacks the instance {render_formula(p_tpl)}",
             )
-        gamma_tpl = tpl.ant.finite.remove_one(p_tpl)
-        expected_ant = SequentSide(OmegaMultiset(self.sig, [(f, 1)]))
-        expected_suc = SequentSide(OmegaMultiset(self.sig))
+        gamma_tpl = tpl.ant.with_removed_one(p_tpl)
+        expected_ant = SequentSide(self.sig, [(f, 1)])
+        expected_suc = SequentSide(self.sig)
         for slot, ex in enumerate(fam.explicit):
             if ex.ant.families or ex.suc.families:
                 return Verdict(False, "explicit premise slots must be family-free")
             p_slot = body if vacuous else substitute(body, var, self._rep_term(slot))
-            if ex.ant.finite.multiplicity_of(p_slot) == 0:
+            if ex.ant.multiplicity_of(p_slot) == 0:
                 return Verdict(
                     False,
                     f"premise slot {slot} lacks the instance "
                     f"{render_formula(p_slot)}",
                 )
-            expected_ant = expected_ant.union(
-                SequentSide(ex.ant.finite.remove_one(p_slot))
-            )
-            expected_suc = expected_suc.union(SequentSide(ex.suc.finite.copy()))
+            expected_ant = expected_ant.union(ex.ant.with_removed_one(p_slot))
+            expected_suc = expected_suc.union(ex.suc)
         tail_ant = self._index_tail(gamma_tpl, fam)
-        tail_suc = None if tail_ant is None else self._index_tail(tpl.suc.finite, fam)
+        tail_suc = None if tail_ant is None else self._index_tail(tpl.suc, fam)
         if tail_suc is None:
             return Verdict(False, "index-dependent context needs finite multiplicity")
         expected = Sequent(expected_ant.union(tail_ant), expected_suc.union(tail_suc))

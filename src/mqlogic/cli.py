@@ -78,8 +78,8 @@ def _cmd_check_sequent(args) -> int:
         print("check-sequent needs a valuation file (-v)", file=sys.stderr)
         return EXIT_USAGE
     seq = parse_sequent(args.sequent, valuation.sig, lenient=args.sig is None)
-    ant = eval_antecedent(valuation, seq.ant.finite)
-    suc = eval_succedent(valuation, seq.suc.finite)
+    ant = eval_antecedent(valuation, seq.ant)
+    suc = eval_succedent(valuation, seq.suc)
     sound = ant <= suc
     print(
         json.dumps(
@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except SyntaxError_ as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, FileNotFoundError, ValueError, CheckError) as e:
+    except (json.JSONDecodeError, OSError, ValueError, CheckError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SemanticsError as e:

@@ -20,15 +20,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Optional
 
-from .calculus import Derivation, derivation_nodes
+from .calculus import Derivation
 from .multiset import OMEGA, Multiplicity, Sequent
 from .semantics import (
     ONE,
     SUM,
     SUP,
     TailSeq,
-    Valuation,
-    ZERO,
     check_lemma1_instance,
     cond_value,
     exists_value,
@@ -407,8 +405,8 @@ def generate_derivation(
     if rule == "CondL":
         p0 = generate_derivation(rng, sig, depth - 1)
         p1 = generate_derivation(rng, sig, depth - 1)
-        suc0 = p0.conclusion.suc.finite.support()
-        ant1 = p1.conclusion.ant.finite.support()
+        suc0 = p0.conclusion.suc.support()
+        ant1 = p1.conclusion.ant.support()
         if not suc0 or not ant1:
             return init_leaf()
         a = rng.choice(suc0)
@@ -422,8 +420,8 @@ def generate_derivation(
         )
         return Derivation(concl, "CondL", (p0, p1), principal=cond)
     child = generate_derivation(rng, sig, depth - 1)
-    cant = child.conclusion.ant.finite.support()
-    csuc = child.conclusion.suc.finite.support()
+    cant = child.conclusion.ant.support()
+    csuc = child.conclusion.suc.support()
     if rule == "NegL" and csuc:
         a = rng.choice(csuc)
         concl = Sequent(
@@ -447,48 +445,3 @@ def generate_derivation(
         )
         return Derivation(concl, "CondR", (child,), principal=Cond(a, b))
     return init_leaf()
-
-
-def random_valuation(
-    rng: random.Random,
-    sig: Signature,
-    atoms: list[Formula],
-    max_denominator: int = 60,
-    mode: str = SUM,
-) -> Valuation:
-    """Random sum-mode valuation over an atom pool.  Predicate defaults
-    take the value 0 half the time so divergent and convergent quantifier
-    tails both appear."""
-    atom_values = {
-        a: sample_unit(rng, max_denominator) for a in atoms if isinstance(a, Atom)
-    }
-    defaults = {}
-    for p, _ in sig.predicates:
-        defaults[p] = (
-            ZERO if rng.random() < 0.5 else sample_unit(rng, max_denominator)
-        )
-    return Valuation(
-        sig, mode=mode, atom_values=atom_values, predicate_defaults=defaults
-    )
-
-
-def collect_atoms(d: Derivation) -> list[Formula]:
-    seen: set[Formula] = set()
-    out: list[Formula] = []
-
-    def walk_formula(f: Formula) -> None:
-        if isinstance(f, Atom):
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
-        elif isinstance(f, Neg):
-            walk_formula(f.body)
-        elif isinstance(f, Cond):
-            walk_formula(f.lhs)
-            walk_formula(f.rhs)
-
-    for node in derivation_nodes(d):
-        for side in (node.conclusion.ant, node.conclusion.suc):
-            for f, _ in side.finite.items():
-                walk_formula(f)
-    return out

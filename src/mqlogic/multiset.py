@@ -1,10 +1,11 @@
-"""Multisets with multiplicities in omega+1, and sequents built from them.
+"""Sequent sides with multiplicities in omega+1, and sequents built from them.
 
-Multiplicities are positive integers or the absorbing value OMEGA; absent
-formulas have multiplicity zero.  Formulas are stored and compared in
-normalised form (coding equations applied to all maximal closed subterms),
-so provably-equal instances collapse to one entry.  Inside derivations a
-sequent side may also carry omega-indexed formula families.
+A side maps formulas to multiplicities: positive integers or the absorbing
+value OMEGA; absent formulas have multiplicity zero.  Formulas are stored
+and compared in normalised form (coding equations applied to all maximal
+closed subterms), so provably-equal instances collapse to one entry.
+Inside derivations a side may also carry omega-indexed formula families,
+and its formulas may be open; a sequent parsed from text holds sentences.
 """
 
 from __future__ import annotations
@@ -68,13 +69,6 @@ def mult_sub(a: Multiplicity, b: Multiplicity) -> Multiplicity:
     return a - b
 
 
-def _validate_mult(m: Multiplicity) -> None:
-    if m is OMEGA:
-        return
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"multiplicity must be a positive integer or OMEGA: {m!r}")
-
-
 def json_value(value, field: str, kind: type = int, minimum: Optional[int] = None):
     """``value`` when its type is exactly ``kind`` (so no bool, float or
     string passes as an int) and it is at least ``minimum``; otherwise a
@@ -83,102 +77,6 @@ def json_value(value, field: str, kind: type = int, minimum: Optional[int] = Non
         bound = "" if minimum is None else f" >= {minimum}"
         raise TypeError(f"'{field}' must be a JSON {kind.__name__}{bound}, got {value!r}")
     return value
-
-
-class OmegaMultiset:
-    """Finite-support map from sentences to multiplicities in omega+1."""
-
-    __slots__ = ("sig", "_entries")
-
-    def __init__(
-        self,
-        sig: Signature,
-        entries: Iterable[tuple[Formula, Multiplicity]] = (),
-        allow_open: bool = False,
-    ) -> None:
-        self.sig = sig
-        self._entries: dict[Formula, Multiplicity] = {}
-        for f, m in entries:
-            self.add(f, m, allow_open=allow_open)
-
-    def add(self, f: Formula, m: Multiplicity = 1, allow_open: bool = False) -> None:
-        """Add ``m`` copies.  Members must be sentences; ``allow_open`` is a
-        calculus-internal escape hatch for rule templates that mention the
-        family index variable."""
-        _validate_mult(m)
-        if free_vars(f) and not allow_open:
-            raise ValueError(f"multiset members must be sentences: {render_formula(f)}")
-        key = normalize_formula(f, self.sig)
-        old = self._entries.get(key, 0)
-        self._entries[key] = mult_add(old, m) if old else m
-
-    def multiplicity_of(self, f: Formula) -> Multiplicity:
-        """Stored multiplicity of a formula (zero when absent); matching is
-        normalisation-aware."""
-        return self._entries.get(normalize_formula(f, self.sig), 0)
-
-    def __contains__(self, f: Formula) -> bool:
-        return self.multiplicity_of(f) != 0
-
-    def items(self) -> Iterator[tuple[Formula, Multiplicity]]:
-        return iter(sorted(self._entries.items(), key=lambda kv: render_formula(kv[0])))
-
-    def support(self) -> list[Formula]:
-        return [f for f, _ in self.items()]
-
-    def is_empty(self) -> bool:
-        return not self._entries
-
-    def copy(self) -> "OmegaMultiset":
-        out = OmegaMultiset(self.sig)
-        out._entries = dict(self._entries)
-        return out
-
-    def union(self, other: "OmegaMultiset") -> "OmegaMultiset":
-        out = self.copy()
-        for f, m in other._entries.items():
-            old = out._entries.get(f, 0)
-            out._entries[f] = mult_add(old, m) if old else m
-        return out
-
-    def minus(self, other: "OmegaMultiset") -> "OmegaMultiset":
-        """Pointwise mult_sub; raises on underflow."""
-        out = self.copy()
-        for f, m in other._entries.items():
-            old = out._entries.get(f, 0)
-            if old == 0:
-                raise ValueError(f"formula not present: {render_formula(f)}")
-            new = mult_sub(old, m)
-            if new == 0:
-                del out._entries[f]
-            else:
-                out._entries[f] = new
-        return out
-
-    def remove_one(self, f: Formula) -> "OmegaMultiset":
-        key = normalize_formula(f, self.sig)
-        old = self._entries.get(key, 0)
-        if old == 0:
-            raise ValueError(f"formula not present: {render_formula(f)}")
-        out = self.copy()
-        if old is OMEGA:
-            return out
-        if old == 1:
-            del out._entries[key]
-        else:
-            out._entries[key] = old - 1
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OmegaMultiset):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{render_formula(f)}:{'w' if m is OMEGA else m}" for f, m in self.items()
-        )
-        return "{" + inner + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -203,55 +101,111 @@ def _family_key(sig: Signature, fam: FormulaFamily):
     return (fam.start, render_formula(canon))
 
 
-class SequentSide:
-    """A finite omega-multiset part plus omega-indexed formula families."""
+def _sorted_families(sig: Signature, fams) -> tuple[FormulaFamily, ...]:
+    return tuple(sorted(fams, key=lambda fam: _family_key(sig, fam)))
 
-    __slots__ = ("finite", "families")
+
+def _put(entries: dict, key: Formula, m: Multiplicity) -> None:
+    old = entries.get(key, 0)
+    entries[key] = mult_add(old, m) if old else m
+
+
+def _take(entries: dict, key: Formula, m: Multiplicity, shown: Formula) -> None:
+    """Remove ``m`` copies of ``key`` by mult_sub; ``shown`` names the
+    formula when it is absent."""
+    old = entries.get(key, 0)
+    if old == 0:
+        raise ValueError(f"formula not present: {render_formula(shown)}")
+    rest = mult_sub(old, m)
+    if rest == 0:
+        del entries[key]
+    else:
+        entries[key] = rest
+
+
+class SequentSide:
+    """One side of a sequent: a finite-support map from formulas to
+    multiplicities in omega+1, plus omega-indexed formula families.
+
+    Formulas are stored in normal form and may be open (derivation
+    templates mention the family index).  A family whose template does not
+    mention its index is the same formula at every slot and folds into
+    omega copies of it.  Sides are immutable: every operation returns a new
+    side.
+    """
+
+    __slots__ = ("sig", "_entries", "families")
 
     def __init__(
         self,
-        finite: OmegaMultiset,
-        families: Sequence[FormulaFamily] = (),
+        sig: Signature,
+        entries: Iterable[tuple[Formula, Multiplicity]] = (),
+        families: Iterable[FormulaFamily] = (),
     ) -> None:
-        self.finite = finite
+        counts: dict[Formula, Multiplicity] = {}
+        for f, m in entries:
+            if m is not OMEGA and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
+                raise ValueError(f"multiplicity must be a positive integer or OMEGA: {m!r}")
+            _put(counts, normalize_formula(f, sig), m)
         indexed: list[FormulaFamily] = []
         for fam in families:
             if fam.var in free_vars(fam.template):
                 indexed.append(fam)
-                continue
-            # degenerate family: the same sentence at every slot; it folds
-            # into a copy so the caller's multiset is left unchanged
-            if self.finite is finite:
-                self.finite = finite.copy()
-            self.finite.add(fam.template, OMEGA)
-        self.families = tuple(
-            sorted(indexed, key=lambda f: _family_key(finite.sig, f))
-        )
+            else:
+                _put(counts, normalize_formula(fam.template, sig), OMEGA)
+        self.sig = sig
+        self._entries = counts
+        self.families = _sorted_families(sig, indexed)
 
-    @property
-    def sig(self) -> Signature:
-        return self.finite.sig
+    @classmethod
+    def _of(cls, sig: Signature, entries: dict, families: tuple) -> "SequentSide":
+        """A side from normalised entries and sorted families, taken as given."""
+        side = object.__new__(cls)
+        side.sig, side._entries, side.families = sig, entries, families
+        return side
 
-    def copy(self) -> "SequentSide":
-        return SequentSide(self.finite.copy(), self.families)
+    def multiplicity_of(self, f: Formula) -> Multiplicity:
+        """Stored multiplicity of a formula (zero when absent); matching is
+        normalisation-aware."""
+        return self._entries.get(normalize_formula(f, self.sig), 0)
 
-    def with_added(self, f: Formula, m: Multiplicity = 1) -> "SequentSide":
-        out = self.finite.copy()
-        out.add(f, m, allow_open=True)
-        return SequentSide(out, self.families)
+    def items(self) -> Iterator[tuple[Formula, Multiplicity]]:
+        return iter(sorted(self._entries.items(), key=lambda kv: render_formula(kv[0])))
+
+    def support(self) -> list[Formula]:
+        return [f for f, _ in self.items()]
+
+    def is_empty(self) -> bool:
+        return not self._entries and not self.families
+
+    def with_added(self, f: Formula) -> "SequentSide":
+        """The side with one more copy of ``f``."""
+        entries = dict(self._entries)
+        _put(entries, normalize_formula(f, self.sig), 1)
+        return SequentSide._of(self.sig, entries, self.families)
 
     def with_removed_one(self, f: Formula) -> "SequentSide":
-        return SequentSide(self.finite.remove_one(f), self.families)
+        """The side with one copy of ``f`` fewer (omega copies stay omega);
+        raises ValueError when ``f`` is absent."""
+        entries = dict(self._entries)
+        _take(entries, normalize_formula(f, self.sig), 1, f)
+        return SequentSide._of(self.sig, entries, self.families)
 
     def union(self, other: "SequentSide") -> "SequentSide":
-        return SequentSide(
-            self.finite.union(other.finite), self.families + other.families
-        )
+        entries = dict(self._entries)
+        for f, m in other._entries.items():
+            _put(entries, f, m)
+        families = self.families + other.families
+        if self.families and other.families:
+            families = _sorted_families(self.sig, families)
+        return SequentSide._of(self.sig, entries, families)
 
     def minus(self, other: "SequentSide") -> "SequentSide":
-        """Remove the other side (context subtraction); raises ValueError
-        when something is missing."""
-        finite = self.finite.minus(other.finite)
+        """Remove the other side (context subtraction, pointwise mult_sub);
+        raises ValueError when something is missing."""
+        entries = dict(self._entries)
+        for f, m in other._entries.items():
+            _take(entries, f, m, f)
         fams = list(self.families)
         for fam in other.families:
             key = _family_key(self.sig, fam)
@@ -263,12 +217,12 @@ class SequentSide:
                 raise ValueError(
                     f"family not present: {render_formula(fam.template)}"
                 )
-        return SequentSide(finite, tuple(fams))
+        return SequentSide._of(self.sig, entries, tuple(fams))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SequentSide):
             return NotImplemented
-        if self.finite != other.finite:
+        if self._entries != other._entries:
             return False
         mine = [_family_key(self.sig, f) for f in self.families]
         theirs = [_family_key(other.sig, f) for f in other.families]
@@ -276,7 +230,7 @@ class SequentSide:
 
     def render(self) -> str:
         parts: list[str] = []
-        for f, m in self.finite.items():
+        for f, m in self.items():
             text = render_formula(f)
             if m is OMEGA:
                 parts.append(f"{text}^w")
@@ -291,10 +245,7 @@ class SequentSide:
         return ", ".join(parts)
 
     def _to_json(self) -> tuple[list, list]:
-        finite = [
-            [render_formula(f), "w" if m is OMEGA else m]
-            for f, m in self.finite.items()
-        ]
+        finite = [[render_formula(f), "w" if m is OMEGA else m] for f, m in self.items()]
         fams = [
             {"var": f.var, "start": f.start, "formula": render_formula(f.template)}
             for f in self.families
@@ -303,10 +254,10 @@ class SequentSide:
 
     @staticmethod
     def _from_json(entries: list, fams: list, sig: Signature) -> "SequentSide":
-        ms = OmegaMultiset(sig)
+        members = []
         for formula_text, m in entries:
             m = OMEGA if m == "w" else json_value(m, "multiplicity", minimum=1)
-            ms.add(parse_formula(formula_text, sig), m, allow_open=True)
+            members.append((parse_formula(formula_text, sig), m))
         families = [
             FormulaFamily(
                 json_value(f["var"], "var", str),
@@ -315,7 +266,7 @@ class SequentSide:
             )
             for f in fams
         ]
-        return SequentSide(ms, families)
+        return SequentSide(sig, members, families)
 
 
 class Sequent:
@@ -337,8 +288,8 @@ class Sequent:
         suc_families: Sequence[FormulaFamily] = (),
     ) -> "Sequent":
         return Sequent(
-            SequentSide(OmegaMultiset(sig, ant, allow_open=True), ant_families),
-            SequentSide(OmegaMultiset(sig, suc, allow_open=True), suc_families),
+            SequentSide(sig, ant, ant_families),
+            SequentSide(sig, suc, suc_families),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -376,50 +327,52 @@ class Sequent:
 # Text form
 
 
-def _split_top_level(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    cur: list[str] = []
-    for ch in text:
+def _members(text: str, offset: int) -> Iterator[str]:
+    """The top-level comma-separated members of a side that starts at
+    ``offset`` in the input, each padded with blanks to its place there so
+    that parse errors give positions in the whole input."""
+    depth = start = 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    last = "".join(cur).strip()
-    if last:
-        parts.append(last)
-    return [p for p in parts if p]
+        elif ch == "," and depth == 0:
+            yield " " * (offset + start) + text[start:i]
+            start = i + 1
+    yield " " * (offset + start) + text[start:]
 
 
-def _parse_side(text: str, sig: Signature, lenient: bool = False) -> OmegaMultiset:
-    ms = OmegaMultiset(sig)
-    for part in _split_top_level(text):
+def _parse_side(
+    text: str, offset: int, sig: Signature, lenient: bool
+) -> Iterator[tuple[Formula, Multiplicity]]:
+    for member in _members(text, offset):
+        if not member.strip():
+            continue
         mult: Multiplicity = 1
-        if "^" in part:
-            body, _, suffix = part.rpartition("^")
+        body, caret, suffix = member.rpartition("^")
+        if caret:
             suffix = suffix.strip()
             if suffix == "w":
                 mult = OMEGA
             elif suffix.isdigit():
                 mult = int(suffix)
             else:
-                raise ParseError(f"bad multiplicity suffix '^{suffix}'", 0)
-            part = body.strip()
-        ms.add(parse_formula(part, sig, lenient=lenient), mult)
-    return ms
+                raise ParseError(f"bad multiplicity suffix '^{suffix}'", len(body))
+            member = body
+        f = parse_formula(member.rstrip(), sig, lenient=lenient)
+        if free_vars(f):
+            raise ValueError(f"multiset members must be sentences: {render_formula(f)}")
+        yield f, mult
 
 
 def parse_sequent(text: str, sig: Signature, lenient: bool = False) -> Sequent:
-    """Parse ``A, B, B |- C`` with ``^w`` / ``^n`` multiplicity suffixes."""
+    """Parse ``A, B, B |- C`` with ``^w`` / ``^n`` multiplicity suffixes.
+    Every member must be a sentence."""
     if "|-" not in text:
         raise ParseError("sequent needs '|-'", 0)
     ant_text, _, suc_text = text.partition("|-")
     return Sequent(
-        SequentSide(_parse_side(ant_text, sig, lenient)),
-        SequentSide(_parse_side(suc_text, sig, lenient)),
+        SequentSide(sig, _parse_side(ant_text, 0, sig, lenient)),
+        SequentSide(sig, _parse_side(suc_text, len(ant_text) + 2, sig, lenient)),
     )

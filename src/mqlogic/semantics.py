@@ -26,7 +26,7 @@ from functools import partial
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .multiset import OMEGA, Multiplicity, OmegaMultiset, Sequent
+from .multiset import OMEGA, Multiplicity, Sequent, SequentSide
 from .syntax import (
     Atom,
     Cond,
@@ -424,12 +424,14 @@ def value_sequent_sound(
     return one - side_sum(ant, True, one) <= side_sum(suc, one=one)
 
 
-def _side_values(valuation: Valuation, ms: OmegaMultiset, alg: ValueAlgebra, one):
+def _side_values(valuation: Valuation, side: SequentSide, alg: ValueAlgebra, one):
     """Member values of a side, copies kept, as numerators over ``one``."""
-    return [(unit(evaluate(valuation, f, alg), one), m) for f, m in ms.items()]
+    if side.families:
+        raise SemanticsError("sequent carries omega-indexed families")
+    return [(unit(evaluate(valuation, f, alg), one), m) for f, m in side.items()]
 
 
-def eval_antecedent(valuation: Valuation, gamma: OmegaMultiset) -> Fraction:
+def eval_antecedent(valuation: Valuation, gamma: SequentSide) -> Fraction:
     """1 - min(1, sum of (1 - value) over the antecedent, copies counted).
 
     An omega-multiplicity formula below value 1 makes the inner series
@@ -440,7 +442,7 @@ def eval_antecedent(valuation: Valuation, gamma: OmegaMultiset) -> Fraction:
     return Fraction(one - gaps, one)
 
 
-def eval_succedent(valuation: Valuation, delta: OmegaMultiset) -> Fraction:
+def eval_succedent(valuation: Valuation, delta: SequentSide) -> Fraction:
     """min(1, sum of values over the succedent, copies counted)."""
     alg, one = _scaled(valuation)
     return Fraction(side_sum(_side_values(valuation, delta, alg, one), one=one), one)
@@ -448,12 +450,10 @@ def eval_succedent(valuation: Valuation, delta: OmegaMultiset) -> Fraction:
 
 def sequent_sound(valuation: Valuation, s: Sequent) -> bool:
     """Whether antecedent value <= succedent value under the valuation."""
-    if s.ant.families or s.suc.families:
-        raise SemanticsError("sequent carries omega-indexed families")
     alg, one = _scaled(valuation)
     return value_sequent_sound(
-        _side_values(valuation, s.ant.finite, alg, one),
-        _side_values(valuation, s.suc.finite, alg, one),
+        _side_values(valuation, s.ant, alg, one),
+        _side_values(valuation, s.suc, alg, one),
         one,
     )
 

@@ -11,6 +11,7 @@ from mqlogic.calculus import (
     SequentFamily,
     SlotRef,
     UniformFamily,
+    Verdict,
     check_derivation,
     check_instance,
     derivation_from_json,
@@ -413,3 +414,46 @@ class TestSlotReferences:
         v = Valuation(sig, atom_values={Atom("B", ()): F(1), t_of_t: F(0)})
         seq = Sequent.from_json(self.truth_teller_json(1)["seq"], sig)
         assert not sequent_sound(v, seq)
+
+
+# Over pred P/1 and const a, n and k are variables, so P(n) is open.
+OPEN_SIG = "pred P/1\nconst a\n"
+OPEN_EXISTS_RIGHT = {
+    "seq": {"ant": [], "suc": [["Ex x P(n)", 1]]},
+    "rule": "ExistsRw",
+    "premises": [{"seq": {"ant": [], "suc": [["P(n)", "w"]]}, "rule": "Init"}],
+}
+OPEN_EXISTS_LEFT = {
+    "seq": {"ant": [["Ex x P(n)", 1]], "suc": []},
+    "rule": "ExistsLw",
+    "principal": {"formula": "Ex x P(n)"},
+    "family": {
+        "var": "k",
+        "start": 0,
+        "template": {"seq": {"ant": [["P(n)", 1]], "suc": []}, "rule": "Init"},
+    },
+}
+
+
+class TestOpenMembers:
+    """Derivation sides may hold open formulas; the checker judges a node
+    over them rather than raising."""
+
+    def test_vacuous_right_rule_over_an_open_body(self):
+        sig = load_signature(OPEN_SIG)
+        body = Atom("P", (Var("n"),))
+        premise = Sequent.make(sig, suc=[(body, OMEGA)])
+        conclusion = Sequent.make(sig, suc=[(Exists("x", body), 1)])
+        verdict = check_instance(sig, "ExistsRw", [premise], conclusion)
+        assert isinstance(verdict, Verdict) and verdict.ok
+
+    @pytest.mark.parametrize(
+        "data", [OPEN_EXISTS_RIGHT, OPEN_EXISTS_LEFT], ids=["exists-right", "exists-left"]
+    )
+    def test_derivation_fails_at_its_init_premise(self, data):
+        sig = load_signature(OPEN_SIG)
+        report = check_derivation(derivation_from_json(data, sig), sig)
+        assert not report.ok
+        assert [(n.rule, n.ok) for n in report.per_node] == [
+            (data["rule"], True), ("Init", False)
+        ]

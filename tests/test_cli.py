@@ -109,6 +109,22 @@ class TestCheckSequent:
 
 
 INIT = {"seq": {"ant": [["T(l)", 1]], "suc": [["T(l)", 1]]}, "rule": "Init"}
+# Over pred P/1 and const a, n and k are variables, so P(n) is open.
+OPEN_EXISTS_RIGHT = {
+    "seq": {"ant": [], "suc": [["Ex x P(n)", 1]]},
+    "rule": "ExistsRw",
+    "premises": [{"seq": {"ant": [], "suc": [["P(n)", "w"]]}, "rule": "Init"}],
+}
+OPEN_EXISTS_LEFT = {
+    "seq": {"ant": [["Ex x P(n)", 1]], "suc": []},
+    "rule": "ExistsLw",
+    "principal": {"formula": "Ex x P(n)"},
+    "family": {
+        "var": "k",
+        "start": 0,
+        "template": {"seq": {"ant": [["P(n)", 1]], "suc": []}, "rule": "Init"},
+    },
+}
 
 
 class TestCheckDerivation:
@@ -253,6 +269,35 @@ class TestCheckDerivation:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("input error:") and message in err
+
+
+    @pytest.mark.parametrize(
+        "data", [OPEN_EXISTS_RIGHT, OPEN_EXISTS_LEFT], ids=["exists-right", "exists-left"]
+    )
+    def test_open_members_get_a_report(self, capsys, tmp_path, data):
+        s = tmp_path / "s.sig"
+        s.write_text("pred P/1\nconst a\n")
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(data))
+        code, out = run(
+            capsys, "check-derivation", "-d", str(d), "--sig", str(s), "--json"
+        )
+        assert code == 1
+        nodes = json.loads(out)["perNode"]
+        assert [(n["rule"], n["ok"]) for n in nodes] == [
+            (data["rule"], True), ("Init", False)
+        ]
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "command", [["eval", "-f", "P", "-v"], ["check-derivation", "--sig", "SIG", "-d"]],
+        ids=["eval", "check-derivation"],
+    )
+    def test_directory_as_input_exit_2(self, capsys, tmp_path, liar_sig, command):
+        argv = [liar_sig if a == "SIG" else a for a in command] + [str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestFuzzCommand:

@@ -2,15 +2,13 @@ import random
 
 import pytest
 
-from mqlogic.calculus import MULTIPLICATIVE, check_derivation, derivation_nodes
+from mqlogic.calculus import MULTIPLICATIVE, Derivation, check_derivation, derivation_nodes
 from mqlogic.fuzz import (
     FuzzConfig,
     RULE_CHOICES,
-    collect_atoms,
     existsr_value_instance,
     fuzz_rule,
     generate_derivation,
-    random_valuation,
     sample_unit,
     toy_signature,
 )
@@ -18,12 +16,60 @@ from mqlogic.multiset import OMEGA
 from mqlogic.semantics import (
     SUM,
     SUP,
+    ZERO,
+    Valuation,
     exists_value,
     sequent_sound,
     side_sum,
     value_sequent_sound,
 )
+from mqlogic.syntax import Atom, Cond, Formula, Neg, Signature
 from fractions import Fraction as F
+
+
+def random_valuation(
+    rng: random.Random,
+    sig: Signature,
+    atoms: list[Formula],
+    max_denominator: int = 60,
+    mode: str = SUM,
+) -> Valuation:
+    """Random sum-mode valuation over an atom pool.  Predicate defaults
+    take the value 0 half the time so divergent and convergent quantifier
+    tails both appear."""
+    atom_values = {
+        a: sample_unit(rng, max_denominator) for a in atoms if isinstance(a, Atom)
+    }
+    defaults = {}
+    for p, _ in sig.predicates:
+        defaults[p] = (
+            ZERO if rng.random() < 0.5 else sample_unit(rng, max_denominator)
+        )
+    return Valuation(
+        sig, mode=mode, atom_values=atom_values, predicate_defaults=defaults
+    )
+
+
+def collect_atoms(d: Derivation) -> list[Formula]:
+    seen: set[Formula] = set()
+    out: list[Formula] = []
+
+    def walk_formula(f: Formula) -> None:
+        if isinstance(f, Atom):
+            if f not in seen:
+                seen.add(f)
+                out.append(f)
+        elif isinstance(f, Neg):
+            walk_formula(f.body)
+        elif isinstance(f, Cond):
+            walk_formula(f.lhs)
+            walk_formula(f.rhs)
+
+    for node in derivation_nodes(d):
+        for side in (node.conclusion.ant, node.conclusion.suc):
+            for f, _ in side.items():
+                walk_formula(f)
+    return out
 
 
 class TestValueLevel:

@@ -5,7 +5,6 @@ import pytest
 from mqlogic.multiset import (
     OMEGA,
     FormulaFamily,
-    OmegaMultiset,
     Sequent,
     SequentSide,
     mult_add,
@@ -13,7 +12,7 @@ from mqlogic.multiset import (
     parse_sequent,
 )
 from mqlogic.derivations import liar_signature
-from mqlogic.syntax import Atom, Const, Neg, Var
+from mqlogic.syntax import Atom, Const, Neg, ParseError, Var
 
 
 @pytest.fixture
@@ -43,32 +42,27 @@ class TestMultiplicity:
             mult_sub(1, 2)
 
     def test_zero_multiplicity_rejected(self, sig, tl):
-        ms = OmegaMultiset(sig)
         with pytest.raises(ValueError):
-            ms.add(tl, 0)
+            SequentSide(sig, [(tl, 0)])
 
 
 class TestUnion:
     def test_omega_absorbs_single_copy(self, sig, tl):
-        a = OmegaMultiset(sig, [(tl, 1)])
-        b = OmegaMultiset(sig, [(tl, OMEGA)])
-        assert a.union(b) == OmegaMultiset(sig, [(tl, OMEGA)])
+        a = SequentSide(sig, [(tl, 1)])
+        b = SequentSide(sig, [(tl, OMEGA)])
+        assert a.union(b) == SequentSide(sig, [(tl, OMEGA)])
 
     def test_identity(self, sig, tl):
-        a = OmegaMultiset(sig, [(tl, 2)])
-        assert OmegaMultiset(sig).union(a) == a
+        a = SequentSide(sig, [(tl, 2)])
+        assert SequentSide(sig).union(a) == a
 
     def test_finite_addition(self, sig, tl):
         other = Neg(tl)
-        a = OmegaMultiset(sig, [(tl, 1), (other, 1)])
-        b = OmegaMultiset(sig, [(tl, 1)])
+        a = SequentSide(sig, [(tl, 1), (other, 1)])
+        b = SequentSide(sig, [(tl, 1)])
         got = a.union(b)
         assert got.multiplicity_of(tl) == 2
         assert got.multiplicity_of(other) == 1
-
-    def test_open_formulas_rejected_by_default(self, sig):
-        with pytest.raises(ValueError):
-            OmegaMultiset(sig, [(Atom("T", (Var("x"),)), 1)])
 
 
 def _constant_family(f):
@@ -81,33 +75,41 @@ class TestOmegaUnion:
     that is the same sentence at every slot folds into omega copies."""
 
     def test_uniform_tail_goes_omega(self, sig, tl):
-        side = SequentSide(OmegaMultiset(sig), [_constant_family(tl)])
-        assert side.finite == OmegaMultiset(sig, [(tl, OMEGA)])
+        side = SequentSide(sig, families=[_constant_family(tl)])
+        assert side == SequentSide(sig, [(tl, OMEGA)])
         assert side.families == ()
 
     def test_single_explicit_member(self, sig, tl):
-        side = SequentSide(OmegaMultiset(sig, [(tl, 1)]))
-        assert side.finite == OmegaMultiset(sig, [(tl, 1)])
+        side = SequentSide(sig, [(tl, 1)])
+        assert list(side.items()) == [(tl, 1)]
 
     def test_finite_sum_of_explicit(self, sig, tl):
-        first = SequentSide(OmegaMultiset(sig, [(tl, 1)]))
-        second = SequentSide(OmegaMultiset(sig, [(tl, 2)]))
+        first = SequentSide(sig, [(tl, 1)])
+        second = SequentSide(sig, [(tl, 2)])
         # oracle: direct addition
-        assert first.union(second).finite.multiplicity_of(tl) == 1 + 2
+        assert first.union(second).multiplicity_of(tl) == 1 + 2
 
     def test_all_equal_members_support(self, sig, tl):
-        member = OmegaMultiset(sig, [(tl, 2), (Neg(tl), 1)])
+        member = SequentSide(sig, [(tl, 2), (Neg(tl), 1)])
         families = [_constant_family(f) for f in member.support()]
-        got = SequentSide(member.copy(), families).finite
+        got = SequentSide(sig, member.items(), families)
         assert got.multiplicity_of(tl) is OMEGA
         assert got.multiplicity_of(Neg(tl)) is OMEGA
         assert set(got.support()) == set(member.support())
 
-    def test_folding_leaves_the_argument_unchanged(self, sig, tl):
-        ms = OmegaMultiset(sig)
-        side = SequentSide(ms, [_constant_family(tl)])
-        assert ms.is_empty()
-        assert side.finite.multiplicity_of(tl) is OMEGA
+    def test_operations_leave_the_side_unchanged(self, sig, tl):
+        def build():
+            fam = FormulaFamily("i", 0, Atom("T", (Var("i"),)))
+            return SequentSide(sig, [(tl, 2)], [fam, _constant_family(Neg(tl))])
+
+        side, other = build(), SequentSide(sig, [(tl, 1)])
+        side.with_added(tl)
+        side.with_removed_one(tl)
+        side.union(other)
+        side.minus(other)
+        other.union(side)
+        assert side == build() and side.render() == build().render()
+        assert other == SequentSide(sig, [(tl, 1)])
 
 
 class TestMultiplicityLookup:
@@ -117,24 +119,24 @@ class TestMultiplicityLookup:
 
         s = truth_coding_signature()
         mu = Const("mu")
-        ms = OmegaMultiset(
+        ms = SequentSide(
             s, [(Atom("T", (App("fm", (Numeral(0), mu)),)), 1)]
         )
         assert ms.multiplicity_of(Atom("T", (mu,))) == 1
 
     def test_absent_is_zero(self, sig, tl):
-        assert OmegaMultiset(sig).multiplicity_of(tl) == 0
+        assert SequentSide(sig).multiplicity_of(tl) == 0
 
     def test_omega_entry(self, sig, tl):
-        ms = OmegaMultiset(sig, [(tl, OMEGA)])
+        ms = SequentSide(sig, [(tl, OMEGA)])
         assert ms.multiplicity_of(tl) is OMEGA
 
 
 class TestSequentForms:
     def test_text_round_trip(self, sig):
         s = parse_sequent("T(l), T(l) |- ~T(l), T(l)^w", sig)
-        assert s.ant.finite.multiplicity_of(Atom("T", (Const("l"),))) == 2
-        assert s.suc.finite.multiplicity_of(Atom("T", (Const("l"),))) is OMEGA
+        assert s.ant.multiplicity_of(Atom("T", (Const("l"),))) == 2
+        assert s.suc.multiplicity_of(Atom("T", (Const("l"),))) is OMEGA
         assert s.ant.families == () and s.suc.families == ()
         assert s.render() == "T(l)^2 |- T(l)^w, ~T(l)"
         again = parse_sequent(s.render(), sig)
@@ -158,8 +160,17 @@ class TestSequentForms:
 
     def test_empty_sequent(self, sig):
         s = parse_sequent(" |- ", sig)
-        assert s.ant.finite.is_empty() and s.suc.finite.is_empty()
+        assert s.ant.is_empty() and s.suc.is_empty()
 
     def test_members_must_be_sentences(self, sig):
         with pytest.raises(ValueError):
             parse_sequent("T(x) |- ", sig)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("T(l), T(l |- ", 9), ("T(l) |- T(l), ~~", 16), ("T(l)^x |- ", 4)],
+    )
+    def test_error_positions_count_from_the_input(self, sig, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_sequent(text, sig)
+        assert exc.value.position == position

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from extended_sums import INFINITE, ExtendedSum
+from rewrite_oracle import normalize_term_outermost
 from mqlogic.derivations import prop1_derivation, truth_coding_signature
 from mqlogic.experiments import _lemma1_sample
 from mqlogic.fuzz import _SAMPLERS, RULE_CHOICES, FuzzConfig, sample_unit
-from mqlogic.multiset import OMEGA, FormulaFamily, OmegaMultiset, SequentSide
+from mqlogic.multiset import OMEGA, FormulaFamily, SequentSide
 from mqlogic.piecewise import eval_parametric, piecewise_to_json
 from mqlogic.semantics import (
     SUM,
@@ -52,7 +53,6 @@ from mqlogic.syntax import (
     load_signature,
     normalize_formula,
     normalize_term,
-    normalize_term_outermost,
     parse_formula,
     render_formula,
     render_term,
@@ -220,24 +220,24 @@ class TestMultisetProperties:
     @given(entries, entries, entries)
     @settings(max_examples=200, deadline=None)
     def test_union_commutative_associative(self, xs, ys, zs):
-        a = OmegaMultiset(SIG, xs)
-        b = OmegaMultiset(SIG, ys)
-        c = OmegaMultiset(SIG, zs)
+        a = SequentSide(SIG, xs)
+        b = SequentSide(SIG, ys)
+        c = SequentSide(SIG, zs)
         assert a.union(b) == b.union(a)
         assert a.union(b).union(c) == a.union(b.union(c))
 
     def test_absorption_sweep(self):
         tl = Atom("P", (Const("a"),))
-        top = OmegaMultiset(SIG, [(tl, OMEGA)])
+        top = SequentSide(SIG, [(tl, OMEGA)])
         for n in range(1, 101):
-            assert top.union(OmegaMultiset(SIG, [(tl, n)])) == top
+            assert top.union(SequentSide(SIG, [(tl, n)])) == top
 
     @given(entries)
     @settings(max_examples=100, deadline=None)
     def test_omega_union_constant_family(self, xs):
-        member = OmegaMultiset(SIG, xs)
+        member = SequentSide(SIG, xs)
         families = [FormulaFamily("i", 0, f) for f in member.support()]
-        got = SequentSide(member.copy(), families).finite
+        got = SequentSide(SIG, member.items(), families)
         assert set(got.support()) == set(member.support())
         for f in got.support():
             assert got.multiplicity_of(f) is OMEGA
@@ -323,8 +323,8 @@ class TestSemanticProperties:
     @given(valuations(), entries, sentences)
     @settings(max_examples=150, deadline=None)
     def test_side_monotonicity(self, v, xs, extra):
-        ms = OmegaMultiset(SIG, xs)
-        bigger = ms.union(OmegaMultiset(SIG, [(extra, 1)]))
+        ms = SequentSide(SIG, xs)
+        bigger = ms.union(SequentSide(SIG, [(extra, 1)]))
         assert eval_succedent(v, bigger) >= eval_succedent(v, ms)
         assert eval_antecedent(v, bigger) <= eval_antecedent(v, ms)
 

@@ -9,6 +9,9 @@ deliberately with
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from mqlogic.experiments import EXPERIMENT_IDS, run_experiment
 
 PINNED = Path(__file__).parent / "data" / "repro_seed0.jsonl"
+SCRIPT = Path(__file__).parent.parent / "scripts" / "run_repro.py"
 
 
 def evidence_line(exp_id: str) -> str:
@@ -28,6 +32,23 @@ def evidence_line(exp_id: str) -> str:
 def test_full_size_evidence_is_unchanged(exp_id):
     pinned = PINNED.read_text().splitlines()
     assert evidence_line(exp_id) == pinned[EXPERIMENT_IDS.index(exp_id)]
+
+
+def test_script_from_a_checkout_prints_the_pinned_lines(tmp_path):
+    """The script finds the checkout's package with no PYTHONPATH set and
+    from another working directory."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--json"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = []
+    for line in proc.stdout.splitlines():
+        data = json.loads(line)
+        del data["runtimeMs"]
+        lines.append(json.dumps(data))
+    assert lines == PINNED.read_text().splitlines()
 
 
 if __name__ == "__main__":

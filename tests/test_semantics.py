@@ -5,7 +5,7 @@ import pytest
 
 from extended_sums import INFINITE, ExtendedSum
 from mqlogic.derivations import liar_signature, truth_coding_signature
-from mqlogic.multiset import OMEGA, OmegaMultiset, Sequent
+from mqlogic.multiset import OMEGA, Sequent, SequentSide
 from mqlogic.semantics import (
     SUM,
     SUP,
@@ -238,33 +238,33 @@ class TestSequentEvaluation:
     def test_antecedent_two_copies(self, psig):
         pa = Atom("P", (Const("a"),))
         v = Valuation(psig, atom_values={pa: F(3, 4)})
-        gamma = OmegaMultiset(psig, [(pa, 2)])
+        gamma = SequentSide(psig, [(pa, 2)])
         assert eval_antecedent(v, gamma) == F(1, 2)
 
     def test_empty_sides(self, psig):
         v = Valuation(psig)
-        assert eval_antecedent(v, OmegaMultiset(psig)) == 1
-        assert eval_succedent(v, OmegaMultiset(psig)) == 0
+        assert eval_antecedent(v, SequentSide(psig)) == 1
+        assert eval_succedent(v, SequentSide(psig)) == 0
         assert not sequent_sound(v, Sequent.make(psig))
 
     def test_omega_below_one_diverges(self, psig):
         pa = Atom("P", (Const("a"),))
         v = Valuation(psig, atom_values={pa: F(9, 10)})
-        assert eval_antecedent(v, OmegaMultiset(psig, [(pa, OMEGA)])) == 0
-        assert eval_succedent(v, OmegaMultiset(psig, [(pa, OMEGA)])) == 1
+        assert eval_antecedent(v, SequentSide(psig, [(pa, OMEGA)])) == 0
+        assert eval_succedent(v, SequentSide(psig, [(pa, OMEGA)])) == 1
 
     def test_omega_at_bounds_contributes_nothing(self, psig):
         pa = Atom("P", (Const("a"),))
         top = Valuation(psig, atom_values={pa: F(1)})
         bot = Valuation(psig, atom_values={pa: F(0)})
-        assert eval_antecedent(top, OmegaMultiset(psig, [(pa, OMEGA)])) == 1
-        assert eval_succedent(bot, OmegaMultiset(psig, [(pa, OMEGA)])) == 0
+        assert eval_antecedent(top, SequentSide(psig, [(pa, OMEGA)])) == 1
+        assert eval_succedent(bot, SequentSide(psig, [(pa, OMEGA)])) == 0
 
     def test_succedent_clamps(self, psig):
         pa = Atom("P", (Const("a"),))
         pb = Neg(pa)
         v = Valuation(psig, atom_values={pa: F(3, 5)})  # ~P(a) = 2/5... use two
-        delta = OmegaMultiset(psig, [(pa, 1), (pb, 1)])
+        delta = SequentSide(psig, [(pa, 1), (pb, 1)])
         assert eval_succedent(v, delta) == 1
 
     def test_initial_sequent_always_sound(self, psig):

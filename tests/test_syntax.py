@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rewrite_oracle import normalize_term_outermost
 from mqlogic.syntax import (
     App,
     Atom,
@@ -22,7 +23,6 @@ from mqlogic.syntax import (
     free_vars,
     load_signature,
     normalize_term,
-    normalize_term_outermost,
     parse_formula,
     parse_term,
     render_formula,
