@@ -3,11 +3,13 @@
 
 Usage: python scripts/run_repro.py [--json] [--seed N]
 Imports mqlogic from the checkout's src/, ahead of any installed copy.
-Exits nonzero if any experiment fails.
+Exits 1 if any experiment fails, and 2 without a message when standard
+output is closed before the last line is written.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,14 +24,22 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     failed = 0
-    for exp_id in EXPERIMENT_IDS:
-        result = run_experiment(exp_id, seed=args.seed)
-        if args.json:
-            print(json.dumps(result.to_json()))
-        else:
-            print(f"{exp_id:16s} {result.status:4s} {result.runtime_ms:6d} ms")
-        if not result.passed:
-            failed += 1
+    try:
+        for exp_id in EXPERIMENT_IDS:
+            result = run_experiment(exp_id, seed=args.seed)
+            if args.json:
+                line = json.dumps(result.to_json())
+            else:
+                line = f"{exp_id:16s} {result.status:4s} {result.runtime_ms:6d} ms"
+            print(line, flush=True)
+            if not result.passed:
+                failed += 1
+    except BrokenPipeError:
+        # keep the flush at shutdown from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return 1 if failed else 0
 
 

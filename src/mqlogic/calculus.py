@@ -8,6 +8,11 @@ take uniform premise families: explicit derivations for the first slots
 plus a single index-parameterised template, which may reference earlier
 slots so that premise chains of growing depth stay representable.
 
+A node with a ``principal`` is checked against that formula alone.
+Without one, each formula of the rule's shape on the principal's side is
+tried in rendered order: the first that fits passes the node, otherwise
+the last mismatch is reported.
+
 Family verification is bounded: templates are checked for structural
 uniformity and fully instantiated at finitely many slots, and instance
 coverage of the closed-term enumeration is spot-checked at finitely many
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .multiset import (
@@ -131,13 +137,6 @@ def _instantiate_side(side: SequentSide, var: str, rep: Term, sig: Signature) ->
     return SequentSide(sig, entries, fams)
 
 
-def instantiate_sequent(s: Sequent, var: str, rep: Term, sig: Signature) -> Sequent:
-    return Sequent(
-        _instantiate_side(s.ant, var, rep, sig),
-        _instantiate_side(s.suc, var, rep, sig),
-    )
-
-
 def instantiate_derivation(d: Derivation, var: str, rep: Term, sig: Signature) -> Derivation:
     prems = tuple(
         p if isinstance(p, SlotRef) else instantiate_derivation(p, var, rep, sig)
@@ -152,9 +151,11 @@ def instantiate_derivation(d: Derivation, var: str, rep: Term, sig: Signature) -
             tuple(instantiate_derivation(e, var, rep, sig) for e in fam.explicit),
         )
     principal = None if d.principal is None else _subst(d.principal, {var: rep})
-    return Derivation(
-        instantiate_sequent(d.conclusion, var, rep, sig), d.rule, prems, fam, principal
+    conclusion = Sequent(
+        _instantiate_side(d.conclusion.ant, var, rep, sig),
+        _instantiate_side(d.conclusion.suc, var, rep, sig),
     )
+    return Derivation(conclusion, d.rule, prems, fam, principal)
 
 
 def derivation_nodes(d: Derivation, var: Optional[str] = None) -> Iterator[Derivation]:
@@ -231,10 +232,14 @@ class SequentFamily:
     explicit: tuple[Sequent, ...] = ()
 
 
+class _Mismatch(CheckError):
+    """This candidate principal does not fit the rule; another may."""
+
+
 def _named_body(sig: Signature, atom: Atom) -> Formula:
     named = sig.named_formula(atom.args[0])
     if named is None:
-        raise CheckError(
+        raise _Mismatch(
             f"term {render_term(atom.args[0])} does not normalize to a "
             "canonical name"
         )
@@ -260,12 +265,20 @@ _ONE_PREMISE = {
 
 
 class _RuleChecker:
+    """Checks rule instances and, through ``_node``, whole derivations.
+
+    A clause returns when its candidate principal fits and raises
+    ``_Mismatch`` when it does not; any other ``CheckError`` fails the
+    node outright."""
+
     def __init__(self, sig: Signature, policy: str, depth: int) -> None:
+        if depth < 1:
+            raise CheckError("depth must be >= 1")
         if policy not in POLICIES:
             raise CheckError(f"unknown policy '{policy}'")
         self.sig = sig
         self.policy = policy
-        self.depth = max(1, depth)
+        self.depth = depth
         self._enum_cache: Optional[list[Term]] = None
 
     # -- helpers -----------------------------------------------------------
@@ -318,17 +331,30 @@ class _RuleChecker:
             ) from None
 
     @staticmethod
-    def _candidates(
-        side: SequentSide, principal: Optional[Formula], want: type
-    ) -> list[Formula]:
-        """The principal, or without one every formula on ``side``, kept
-        when it has the shape ``want`` (``object`` keeps every formula).
-        An atomic principal is a truth atom ``T(t)``."""
-        cands = side.support() if principal is None else (principal,)
-        if want is Atom:
-            return [f for f in cands if isinstance(f, Atom) and f.pred == "T"
-                    and len(f.args) == 1]
-        return [f for f in cands if isinstance(f, want)]
+    def _first_fit(
+        side: SequentSide,
+        principal: Optional[Formula],
+        want: type,
+        missing: str,
+        clause: Callable[[Formula], None],
+    ) -> Verdict:
+        """Try ``clause`` on the principal, or without one on every formula
+        on ``side``, kept when it has the shape ``want`` (``object`` keeps
+        every formula; an Atom principal is a truth atom ``T(t)``).  The
+        first candidate that fits passes; otherwise the last candidate's
+        mismatch, or ``missing`` when there was none, fails."""
+        message = missing
+        for f in side.support() if principal is None else (principal,):
+            if not isinstance(f, want) or (
+                want is Atom and (f.pred != "T" or len(f.args) != 1)
+            ):
+                continue
+            try:
+                clause(f)
+                return Verdict(True)
+            except _Mismatch as e:
+                message = str(e)
+        return Verdict(False, message)
 
     # -- rule dispatch -----------------------------------------------------
 
@@ -341,16 +367,11 @@ class _RuleChecker:
         family: Optional[SequentFamily] = None,
     ) -> Verdict:
         try:
-            name = rule.lower()
-            row = _ONE_PREMISE.get(name)
-            if row is None:
-                handler = getattr(self, "_rule_" + name)
-        except AttributeError:
+            clause = _CLAUSES[rule.lower()]
+        except (AttributeError, KeyError):
             return Verdict(False, f"unknown rule '{rule}'")
         try:
-            if row is not None:
-                return self._one_premise(row, list(premises), conclusion, principal)
-            return handler(list(premises), conclusion, principal, family)
+            return clause(self, list(premises), conclusion, principal, family)
         except CheckError as e:
             return Verdict(False, str(e))
         except StepBudgetError as e:
@@ -364,24 +385,24 @@ class _RuleChecker:
 
     def _rule_init(self, premises, conclusion, principal, family) -> Verdict:
         self._need(premises, 0, "Init")
-        for f in self._candidates(conclusion.ant, principal, object):
-            if (
-                conclusion.ant.multiplicity_of(f) != 0
-                and conclusion.suc.multiplicity_of(f) != 0
-            ):
-                return Verdict(True)
-        return Verdict(False, "no formula occurs on both sides of the sequent")
+        missing = "no formula occurs on both sides of the sequent"
+
+        def clause(f: Formula) -> None:
+            ant, suc = conclusion.ant, conclusion.suc
+            if ant.multiplicity_of(f) == 0 or suc.multiplicity_of(f) == 0:
+                raise _Mismatch(missing)
+
+        return self._first_fit(conclusion.ant, principal, object, missing, clause)
 
     # one-premise rules: NegL, NegR, CondR, TL, TR -------------------------
 
-    def _one_premise(self, row, premises, conclusion, principal) -> Verdict:
+    def _one_premise(self, premises, conclusion, principal, family, row) -> Verdict:
         rule, on_suc, want, missing, components = row
         self._need(premises, 1, rule)
         if want is Atom and not self.sig.naming_scheme:
-            return Verdict(False, f"{rule} requires a naming scheme in the signature")
-        last = Verdict(False, missing)
-        side = conclusion.suc if on_suc else conclusion.ant
-        for f in self._candidates(side, principal, want):
+            raise CheckError(f"{rule} requires a naming scheme in the signature")
+
+        def clause(f: Formula) -> None:
             add_ant, add_suc = components(self.sig, f)
             ant = conclusion.ant if on_suc else self._without_principal(conclusion.ant, f)
             if add_ant is not None:
@@ -390,43 +411,40 @@ class _RuleChecker:
             if add_suc is not None:
                 suc = suc.with_added(add_suc)
             expected = Sequent(ant, suc)
-            if premises[0] == expected:
-                return Verdict(True)
-            last = Verdict(
-                False,
-                f"{rule} shape: expected premise {expected.render()!r}, "
-                f"got {premises[0].render()!r}",
-            )
-        return last
+            if premises[0] != expected:
+                raise _Mismatch(
+                    f"{rule} shape: expected premise {expected.render()!r}, "
+                    f"got {premises[0].render()!r}"
+                )
+
+        side = conclusion.suc if on_suc else conclusion.ant
+        return self._first_fit(side, principal, want, missing, clause)
 
     def _rule_condl(self, premises, conclusion, principal, family) -> Verdict:
         self._need(premises, 2, "CondL")
         p0, p1 = premises
-        last = Verdict(False, "no conditional in the antecedent")
-        for f in self._candidates(conclusion.ant, principal, Cond):
+
+        def clause(f: Cond) -> None:
             if p0.suc.multiplicity_of(f.lhs) == 0:
-                last = Verdict(
-                    False,
-                    f"first premise lacks {render_formula(f.lhs)} in the succedent",
+                raise _Mismatch(
+                    f"first premise lacks {render_formula(f.lhs)} in the succedent"
                 )
-                continue
             if p1.ant.multiplicity_of(f.rhs) == 0:
-                last = Verdict(
-                    False,
-                    f"second premise lacks {render_formula(f.rhs)} in the antecedent",
+                raise _Mismatch(
+                    f"second premise lacks {render_formula(f.rhs)} in the antecedent"
                 )
-                continue
             expected = Sequent(
                 p0.ant.union(p1.ant.with_removed_one(f.rhs)).with_added(f),
                 p0.suc.with_removed_one(f.lhs).union(p1.suc),
             )
-            if expected == conclusion:
-                return Verdict(True)
-            last = Verdict(
-                False,
-                f"CondL contexts: expected conclusion {expected.render()!r}",
-            )
-        return last
+            if expected != conclusion:
+                raise _Mismatch(
+                    f"CondL contexts: expected conclusion {expected.render()!r}"
+                )
+
+        return self._first_fit(
+            conclusion.ant, principal, Cond, "no conditional in the antecedent", clause
+        )
 
     # omega quantifier rules ---------------------------------------------------
 
@@ -501,29 +519,25 @@ class _RuleChecker:
                 return n
         return None
 
-    def _validate_instance_part(
-        self, exists_f: Exists, part: SequentSide
-    ) -> Verdict:
+    def _validate_instance_part(self, exists_f: Exists, part: SequentSide) -> None:
         """The residual premise material must be exactly an omega instance
         family for the quantified formula: every entry an instance, and the
         closed-term enumeration covered (spot-checked)."""
         var, body = exists_f.var, exists_f.body
         for f, _ in part.items():
             if self._instance_witness(body, var, f) is None:
-                return Verdict(
-                    False,
+                raise _Mismatch(
                     f"{render_formula(f)} is not an instance of "
-                    f"{render_formula(exists_f)}",
+                    f"{render_formula(exists_f)}"
                 )
         for fam in part.families:
             if self._match_instance(body, var, fam.template) is None:
-                return Verdict(
-                    False,
+                raise _Mismatch(
                     f"family {render_formula(fam.template)} is not an instance "
-                    f"family of {render_formula(exists_f)}",
+                    f"family of {render_formula(exists_f)}"
                 )
         if part.is_empty():
-            return Verdict(False, "the instance family is missing entirely")
+            raise _Mismatch("the instance family is missing entirely")
         # coverage spot check over the enumeration prefix
         for t in self._enum_terms():
             required = substitute(body, var, t)
@@ -536,95 +550,63 @@ class _RuleChecker:
                 for fam in part.families
             )
             if not covered:
-                return Verdict(
-                    False,
+                raise _Mismatch(
                     f"instance at closed term {render_term(t)} is not covered "
-                    "by the premise family",
+                    "by the premise family"
                 )
-        return Verdict(True)
 
     def _rule_existsrw(self, premises, conclusion, principal, family) -> Verdict:
         self._need(premises, 1, "ExistsRw")
         premise = premises[0]
-        last = Verdict(False, "no existential formula in the succedent")
-        for f in self._candidates(conclusion.suc, principal, Exists):
+
+        def clause(f: Exists) -> None:
             if premise.ant != conclusion.ant:
-                last = Verdict(False, "ExistsRw must not change the antecedent")
-                continue
+                raise _Mismatch("ExistsRw must not change the antecedent")
             delta = self._without_principal(conclusion.suc, f)
             try:
                 residual = premise.suc.minus(delta)
             except ValueError as e:
-                last = Verdict(False, f"premise lacks the conclusion context: {e}")
-                continue
-            vacuous = f.var not in free_vars(f.body)
-            if vacuous:
-                if residual.families:
-                    last = Verdict(
-                        False, "vacuous quantification takes plain copies, not families"
-                    )
-                    continue
-                want: Multiplicity = 1 if self.policy == ADDITIVE else OMEGA
-                if residual == SequentSide(self.sig, [(f.body, want)]):
-                    return Verdict(True)
+                raise _Mismatch(f"premise lacks the conclusion context: {e}") from None
+            if f.var in free_vars(f.body):
+                self._validate_instance_part(f, residual)
+                return
+            if residual.families:
+                raise _Mismatch("vacuous quantification takes plain copies, not families")
+            want: Multiplicity = 1 if self.policy == ADDITIVE else OMEGA
+            if residual != SequentSide(self.sig, [(f.body, want)]):
                 got = residual.multiplicity_of(f.body)
-                last = Verdict(
-                    False,
+                raise _Mismatch(
                     f"vacuous ExistsRw under the {self.policy} policy needs "
                     f"{'one copy' if want == 1 else 'omega copies'} of "
                     f"{render_formula(f.body)}; found multiplicity "
-                    f"{'w' if got is OMEGA else got}",
+                    f"{'w' if got is OMEGA else got}"
                 )
-                continue
-            last = self._validate_instance_part(f, residual)
-            if last.ok:
-                return last
-        return last
+
+        missing = "no existential formula in the succedent"
+        return self._first_fit(conclusion.suc, principal, Exists, missing, clause)
 
     def _rule_existslw(self, premises, conclusion, principal, family) -> Verdict:
         if family is None:
-            return self._exists_left_single(premises, conclusion, principal)
-        self._need(premises, 0, "ExistsLw (family form)")
-        last = Verdict(False, "no existential formula in the antecedent")
-        for f in self._candidates(conclusion.ant, principal, Exists):
-            last = self._exists_left_family_one(conclusion, f, family)
-            if last.ok:
-                return last
-        return last
+            self._need(premises, 1, "ExistsLw (single-premise form)")
+            clause = partial(self._exists_left_single, premises[0], conclusion)
+        else:
+            self._need(premises, 0, "ExistsLw (family form)")
+            clause = partial(self._exists_left_family_one, conclusion, family)
+        missing = "no existential formula in the antecedent"
+        return self._first_fit(conclusion.ant, principal, Exists, missing, clause)
 
-    def _exists_left_single(self, premises, conclusion, principal) -> Verdict:
-        self._need(premises, 1, "ExistsLw (single-premise form)")
-        premise = premises[0]
-        last = Verdict(False, "no existential formula in the antecedent")
-        for f in self._candidates(conclusion.ant, principal, Exists):
-            if f.var in free_vars(f.body):
-                last = Verdict(
-                    False,
-                    "a single premise can only witness a vacuous quantifier",
-                )
-                continue
-            if self.policy != ADDITIVE:
-                last = Verdict(
-                    False,
-                    "the multiplicative policy requires the omega-premise family",
-                )
-                continue
-            if premise.ant.multiplicity_of(f.body) == 0:
-                last = Verdict(
-                    False,
-                    f"premise lacks the instance {render_formula(f.body)}",
-                )
-                continue
-            expected = Sequent(
-                premise.ant.with_removed_one(f.body).with_added(f), premise.suc
-            )
-            if expected == conclusion:
-                return Verdict(True)
-            last = Verdict(
-                False,
-                f"ExistsLw shape: expected conclusion {expected.render()!r}",
-            )
-        return last
+    def _exists_left_single(self, premise: Sequent, conclusion: Sequent, f: Exists) -> None:
+        if f.var in free_vars(f.body):
+            raise _Mismatch("a single premise can only witness a vacuous quantifier")
+        if self.policy != ADDITIVE:
+            raise _Mismatch("the multiplicative policy requires the omega-premise family")
+        if premise.ant.multiplicity_of(f.body) == 0:
+            raise _Mismatch(f"premise lacks the instance {render_formula(f.body)}")
+        expected = Sequent(
+            premise.ant.with_removed_one(f.body).with_added(f), premise.suc
+        )
+        if expected != conclusion:
+            raise _Mismatch(f"ExistsLw shape: expected conclusion {expected.render()!r}")
 
     def _index_tail(
         self, part: SequentSide, fam: SequentFamily
@@ -645,62 +627,147 @@ class _RuleChecker:
         return SequentSide(self.sig, tail, fams)
 
     def _exists_left_family_one(
-        self, conclusion: Sequent, f: Exists, fam: SequentFamily
-    ) -> Verdict:
+        self, conclusion: Sequent, fam: SequentFamily, f: Exists
+    ) -> None:
         var, body = f.var, f.body
         vacuous = var not in free_vars(body)
         tpl = fam.template
         if tpl.ant.families or tpl.suc.families:
-            return Verdict(False, "nested families in a premise template")
+            raise _Mismatch("nested families in a premise template")
         p_tpl = body if vacuous else _subst(body, {var: Var(fam.var)})
         if tpl.ant.multiplicity_of(p_tpl) == 0:
-            return Verdict(
-                False,
-                f"template premise lacks the instance {render_formula(p_tpl)}",
+            raise _Mismatch(
+                f"template premise lacks the instance {render_formula(p_tpl)}"
             )
         gamma_tpl = tpl.ant.with_removed_one(p_tpl)
         expected_ant = SequentSide(self.sig, [(f, 1)])
         expected_suc = SequentSide(self.sig)
         for slot, ex in enumerate(fam.explicit):
             if ex.ant.families or ex.suc.families:
-                return Verdict(False, "explicit premise slots must be family-free")
+                raise _Mismatch("explicit premise slots must be family-free")
             p_slot = body if vacuous else substitute(body, var, self._rep_term(slot))
             if ex.ant.multiplicity_of(p_slot) == 0:
-                return Verdict(
-                    False,
+                raise _Mismatch(
                     f"premise slot {slot} lacks the instance "
-                    f"{render_formula(p_slot)}",
+                    f"{render_formula(p_slot)}"
                 )
             expected_ant = expected_ant.union(ex.ant.with_removed_one(p_slot))
             expected_suc = expected_suc.union(ex.suc)
         tail_ant = self._index_tail(gamma_tpl, fam)
         tail_suc = None if tail_ant is None else self._index_tail(tpl.suc, fam)
         if tail_suc is None:
-            return Verdict(False, "index-dependent context needs finite multiplicity")
+            raise _Mismatch("index-dependent context needs finite multiplicity")
         expected = Sequent(expected_ant.union(tail_ant), expected_suc.union(tail_suc))
         if expected != conclusion:
-            return Verdict(
-                False,
+            raise _Mismatch(
                 f"ExistsLw contexts: expected conclusion {expected.render()!r}, "
-                f"got {conclusion.render()!r}",
+                f"got {conclusion.render()!r}"
             )
-        if not vacuous:
-            # coverage: every spot-checked closed term maps to a slot whose
-            # principal is its instance after normalisation
-            for t in self._enum_terms():
-                required = substitute(body, var, t)
-                try:
-                    slot = self._slot_for_term(t)
-                except CheckError as e:
-                    return Verdict(False, str(e))
-                p_slot = substitute(body, var, self._rep_term(slot))
-                if not formulas_equal(required, p_slot, self.sig):
-                    return Verdict(
-                        False,
-                        f"instance at {render_term(t)} does not match premise "
-                        f"slot {slot}",
-                    )
-        return Verdict(True)
+        if vacuous:
+            return
+        # coverage: every spot-checked closed term maps to a slot whose
+        # principal is its instance after normalisation
+        for t in self._enum_terms():
+            required = substitute(body, var, t)
+            try:
+                slot = self._slot_for_term(t)
+            except CheckError as e:
+                raise _Mismatch(str(e)) from None
+            p_slot = substitute(body, var, self._rep_term(slot))
+            if not formulas_equal(required, p_slot, self.sig):
+                raise _Mismatch(
+                    f"instance at {render_term(t)} does not match premise "
+                    f"slot {slot}"
+                )
+
+    # -- derivations -------------------------------------------------------
+
+    def _node(
+        self,
+        d: Derivation,
+        path: str,
+        earlier: Optional[list[Sequent]],
+        report: CheckReport,
+    ) -> bool:
+        """Check ``d`` and then, until a node fails, its premises and family
+        slots.  Inside a family template, ``earlier`` holds the conclusions
+        of the slots before the current one; slot references read it."""
+        try:
+            premise_seqs = []
+            for p in d.premises:
+                if isinstance(p, Derivation):
+                    premise_seqs.append(p.conclusion)
+                elif earlier is None:
+                    raise CheckError("slot reference outside a family template")
+                elif p.offset > len(earlier):
+                    raise CheckError("slot reference before the first slot")
+                else:
+                    premise_seqs.append(earlier[-p.offset])
+            fam_summary = None
+            if d.family is not None:
+                fam = d.family
+                _check_template_uniformity(fam.template, fam.var)
+                fam_summary = SequentFamily(
+                    fam.var, fam.start, fam.template.conclusion,
+                    tuple(e.conclusion for e in fam.explicit),
+                )
+            verdict = self.check(
+                d.rule, premise_seqs, d.conclusion, d.principal, fam_summary
+            )
+        except CheckError as e:
+            verdict = Verdict(False, str(e))
+        report.per_node.append(
+            NodeReport(path, d.rule, verdict.ok, verdict.message, d.conclusion.render())
+        )
+        if not verdict.ok:
+            return False
+        for i, p in enumerate(d.premises):
+            if isinstance(p, Derivation):
+                if not self._node(p, f"{path}.{i}", earlier, report):
+                    return False
+        if d.family is not None:
+            return self._family_slots(d.family, path, report)
+        return True
+
+    def _family_slots(self, fam: UniformFamily, path: str, report: CheckReport) -> bool:
+        uses_var = _derivation_uses_var(fam.template, fam.var)
+        has_refs = _has_slot_refs(fam.template)
+        for slot, ex in enumerate(fam.explicit):
+            ok = self._node(ex, f"{path}.fam[{slot}]", None, report)
+            report.family_spot_checks.append((path, slot, ok))
+            if not ok:
+                return False
+        if not uses_var and not has_refs:
+            # all template slots are the same derivation: one check covers them
+            ok = self._node(fam.template, f"{path}.fam[{fam.start}..]", None, report)
+            report.family_spot_checks.append((path, fam.start, ok))
+            return ok
+        earlier = [e.conclusion for e in fam.explicit]
+        for slot in range(fam.start, fam.start + self.depth):
+            inst = fam.template
+            if uses_var:
+                inst = instantiate_derivation(
+                    fam.template, fam.var, self._rep_term(slot), self.sig
+                )
+            ok = self._node(inst, f"{path}.fam[{slot}]", earlier, report)
+            report.family_spot_checks.append((path, slot, ok))
+            if not ok:
+                return False
+            earlier.append(inst.conclusion)
+        return True
+
+
+# The rule clauses by lower-case rule id.
+_CLAUSES = {
+    "init": _RuleChecker._rule_init,
+    "condl": _RuleChecker._rule_condl,
+    "existsrw": _RuleChecker._rule_existsrw,
+    "existslw": _RuleChecker._rule_existslw,
+    **{
+        name: partial(_RuleChecker._one_premise, row=row)
+        for name, row in _ONE_PREMISE.items()
+    },
+}
 
 
 def check_instance(
@@ -776,111 +843,6 @@ class CheckReport:
         return [n.sequent for n in self.per_node]
 
 
-class DerivationChecker:
-    def __init__(
-        self, sig: Signature, policy: str = MULTIPLICATIVE, depth: int = 8
-    ) -> None:
-        if depth < 1:
-            raise CheckError("depth must be >= 1")
-        self.sig = sig
-        self.policy = policy
-        self.depth = depth
-        self.rules = _RuleChecker(sig, policy, depth)
-
-    def check(self, d: Derivation) -> CheckReport:
-        report = CheckReport(True, self.policy, self.depth)
-        report.ok = self._node(d, "root", None, report)
-        return report
-
-    # resolver: maps a SlotRef offset to the conclusion of an earlier slot
-    def _node(
-        self,
-        d: Derivation,
-        path: str,
-        resolver: Optional[Callable[[int], Sequent]],
-        report: CheckReport,
-    ) -> bool:
-        try:
-            premise_seqs = []
-            for p in d.premises:
-                if isinstance(p, SlotRef):
-                    if resolver is None:
-                        raise CheckError("slot reference outside a family template")
-                    premise_seqs.append(resolver(p.offset))
-                else:
-                    premise_seqs.append(p.conclusion)
-            fam_summary = None
-            if d.family is not None:
-                fam = d.family
-                _check_template_uniformity(fam.template, fam.var)
-                fam_summary = SequentFamily(
-                    fam.var,
-                    fam.start,
-                    fam.template.conclusion,
-                    tuple(e.conclusion for e in fam.explicit),
-                )
-            verdict = self.rules.check(
-                d.rule, premise_seqs, d.conclusion, d.principal, fam_summary
-            )
-        except CheckError as e:
-            verdict = Verdict(False, str(e))
-        report.per_node.append(
-            NodeReport(path, d.rule, verdict.ok, verdict.message, d.conclusion.render())
-        )
-        if not verdict.ok:
-            return False
-        for i, p in enumerate(d.premises):
-            if isinstance(p, Derivation):
-                if not self._node(p, f"{path}.{i}", resolver, report):
-                    return False
-        if d.family is not None:
-            return self._family_slots(d.family, path, report)
-        return True
-
-    def _family_slots(
-        self, fam: UniformFamily, path: str, report: CheckReport
-    ) -> bool:
-        uses_var = _derivation_uses_var(fam.template, fam.var)
-        has_refs = _has_slot_refs(fam.template)
-
-        def slot_conclusion(n: int) -> Sequent:
-            if n < 0:
-                raise CheckError("slot reference before the first slot")
-            if n < fam.start:
-                return fam.explicit[n].conclusion
-            if not uses_var:
-                return fam.template.conclusion
-            return instantiate_sequent(
-                fam.template.conclusion, fam.var, self.rules._rep_term(n), self.sig
-            )
-
-        for slot, ex in enumerate(fam.explicit):
-            ok = self._node(ex, f"{path}.fam[{slot}]", None, report)
-            report.family_spot_checks.append((path, slot, ok))
-            if not ok:
-                return False
-        if not uses_var and not has_refs:
-            # all template slots are the same derivation: one check covers them
-            ok = self._node(fam.template, f"{path}.fam[{fam.start}..]", None, report)
-            report.family_spot_checks.append((path, fam.start, ok))
-            return ok
-        for slot in range(fam.start, fam.start + self.depth):
-            inst = fam.template
-            if uses_var:
-                inst = instantiate_derivation(
-                    fam.template, fam.var, self.rules._rep_term(slot), self.sig
-                )
-
-            def resolver(offset: int, _slot: int = slot) -> Sequent:
-                return slot_conclusion(_slot - offset)
-
-            ok = self._node(inst, f"{path}.fam[{slot}]", resolver, report)
-            report.family_spot_checks.append((path, slot, ok))
-            if not ok:
-                return False
-        return True
-
-
 def check_derivation(
     d: Derivation,
     sig: Signature,
@@ -893,7 +855,10 @@ def check_derivation(
     and the enumeration coverage of the omega rules is spot-checked at the
     first ``depth`` closed terms; the report records the bound.
     """
-    return DerivationChecker(sig, policy, depth).check(d)
+    checker = _RuleChecker(sig, policy, depth)
+    report = CheckReport(True, policy, depth)
+    report.ok = checker._node(d, "root", None, report)
+    return report
 
 
 # ---------------------------------------------------------------------------

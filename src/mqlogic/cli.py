@@ -3,7 +3,8 @@
 Subcommands: ``eval``, ``check-sequent``, ``check-derivation``, ``fuzz``,
 ``solve-selfref``, ``repro``.  Exit codes: 0 pass, 1 expectation mismatch
 (failed check, failed reproduction, unsound sequent), 2 usage or parse
-error, or input nested past the recursion limit, 3 semantic error
+error, input nested past the recursion limit, or a standard output closed
+before the command finished (exits quietly), 3 semantic error
 (ungrounded self-reference, open formula).  The environment variable
 MQLOGIC_SEED overrides ``--seed``.
 """
@@ -240,7 +241,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"bad MQLOGIC_SEED '{env_seed}'", file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early: exit quietly, and keep the flush at
+        # shutdown from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except SyntaxError_ as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,7 +23,7 @@ from mqlogic.derivations import (
     prop3_derivation,
     truth_coding_signature,
 )
-from mqlogic.multiset import OMEGA, FormulaFamily, Sequent
+from mqlogic.multiset import OMEGA, FormulaFamily, Sequent, parse_sequent
 from mqlogic.semantics import Valuation, sequent_sound
 from mqlogic.syntax import (
     App,
@@ -138,6 +138,13 @@ class TestPropositionalRules:
             assert not verdict.ok and "does not occur" in verdict.message, rule
 
 
+def test_depth_below_one_rejected(lsig):
+    tl = _tl(lsig)
+    leaf = Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)])
+    with pytest.raises(CheckError, match="depth must be >= 1"):
+        check_instance(lsig, "Init", [], leaf, depth=0)
+
+
 class TestTruthRules:
     def test_tr_and_tl_roundtrip(self, lsig):
         tl = _tl(lsig)
@@ -188,6 +195,26 @@ class TestTruthRules:
         report = check_derivation(node, lsig)
         assert not report.ok
         assert "canonical name" in report.per_node[0].message
+
+    @pytest.mark.parametrize(
+        "rule, premise, conclusion",
+        [
+            ("TL", "~Ex x T(l), T(c) |-", "T(c), T(l) |-"),
+            ("TR", "|- ~Ex x T(l), T(c)", "|- T(c), T(l)"),
+        ],
+        ids=["TL", "TR"],
+    )
+    def test_unnamed_truth_atom_is_passed_over(self, lsig, rule, premise, conclusion):
+        """Without a principal, T(c) (c names no sentence) is a candidate
+        that does not fit, and the search goes on to T(l)."""
+        lsig.add_constant("c")
+        premises = [parse_sequent(premise, lsig)]
+        concl = parse_sequent(conclusion, lsig)
+        assert check_instance(lsig, rule, premises, concl) == Verdict(True)
+        tc = Atom("T", (Const("c"),))
+        assert check_instance(lsig, rule, premises, concl, principal=tc) == Verdict(
+            False, "term c does not normalize to a canonical name"
+        )
 
     def test_coding_step(self):
         sig = truth_coding_signature()

@@ -1,6 +1,8 @@
 import copy
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -272,6 +274,35 @@ class TestCheckDerivation:
 
 
     @pytest.mark.parametrize(
+        "data",
+        [
+            {
+                "seq": {"ant": [["T(c)", 1], ["T(l)", 1]], "suc": [["~Ex x T(l)", 1]]},
+                "rule": "TL",
+                "premises": [{"seq": {"ant": [["~Ex x T(l)", 1], ["T(c)", 1]],
+                                      "suc": [["~Ex x T(l)", 1]]}, "rule": "Init"}],
+            },
+            {
+                "seq": {"ant": [["~Ex x T(l)", 1]], "suc": [["T(c)", 1], ["T(l)", 1]]},
+                "rule": "TR",
+                "premises": [{"seq": {"ant": [["~Ex x T(l)", 1]],
+                                      "suc": [["T(c)", 1], ["~Ex x T(l)", 1]]},
+                              "rule": "Init"}],
+            },
+        ],
+        ids=["TL", "TR"],
+    )
+    def test_truth_rule_finds_its_principal(self, capsys, tmp_path, data):
+        """Without a principal, T(c) (c names no sentence) is passed over
+        and T(l) is found."""
+        s = tmp_path / "s.sig"
+        s.write_text("pred T/1\nconst c\nname l = ~Ex x T(l)\n")
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(data))
+        code, out = run(capsys, "check-derivation", "-d", str(d), "--sig", str(s))
+        assert code == 0, out
+
+    @pytest.mark.parametrize(
         "data", [OPEN_EXISTS_RIGHT, OPEN_EXISTS_LEFT], ids=["exists-right", "exists-left"]
     )
     def test_open_members_get_a_report(self, capsys, tmp_path, data):
@@ -298,6 +329,32 @@ class TestFileErrors:
         argv = [liar_sig if a == "SIG" else a for a in command] + [str(tmp_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+
+class TestClosedStdout:
+    """A standard output whose reader has gone ends the run with exit 2
+    and nothing on stderr."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    SCRIPT = SRC.parent / "scripts" / "run_repro.py"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-m", "mqlogic.cli", "repro", "prop1"], [str(SCRIPT), "--json"]],
+        ids=["mqlogic-repro", "run_repro"],
+    )
+    def test_exit_2_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        try:
+            proc = subprocess.run(
+                [sys.executable, *argv], stdout=write_end, stderr=subprocess.PIPE,
+                env=env, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (2, "")
 
 
 class TestFuzzCommand:
