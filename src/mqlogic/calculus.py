@@ -746,9 +746,17 @@ class _RuleChecker:
         for slot in range(fam.start, fam.start + self.depth):
             inst = fam.template
             if uses_var:
-                inst = instantiate_derivation(
-                    fam.template, fam.var, self._rep_term(slot), self.sig
-                )
+                try:
+                    term = self._rep_term(slot)
+                except CheckError as e:
+                    # too few closed terms for this slot: the slot fails
+                    report.per_node.append(NodeReport(
+                        f"{path}.fam[{slot}]", inst.rule, False, str(e),
+                        inst.conclusion.render(),
+                    ))
+                    report.family_spot_checks.append((path, slot, False))
+                    return False
+                inst = instantiate_derivation(fam.template, fam.var, term, self.sig)
             ok = self._node(inst, f"{path}.fam[{slot}]", earlier, report)
             report.family_spot_checks.append((path, slot, ok))
             if not ok:

@@ -6,9 +6,10 @@ exactly.  Pieces partition [0, 1]; degenerate single-point pieces are
 first-class because divergence boundaries produce isolated points.
 
 Every clause that cuts a piece (the clamp at 1, the divergence of a
-series) cuts it with ``_split`` at one point and chooses per part by the
-value at the part's midpoint; ``_merge`` then joins two contiguous pieces
-whenever one affine part describes both.
+series) cuts it with ``_split`` at the point where an affine part crosses
+its threshold and chooses per part by the side of that point it lies on
+(``_cut``); ``_merge`` then joins two contiguous pieces whenever one
+affine part describes both.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ class Interval:
 
     def is_point(self) -> bool:
         return self.lo == self.hi and self.closed_lo and self.closed_hi
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def contains(self, v: Fraction) -> bool:
         if v < self.lo or v > self.hi:
@@ -146,6 +144,23 @@ def _split(iv: Interval, r: Fraction) -> list[Interval]:
     return [part for part in parts if not part.is_empty()]
 
 
+def _cut(
+    iv: Interval, a: Fraction, b: Fraction, level: Fraction
+) -> list[tuple[Interval, bool]]:
+    """The parts of ``iv`` cut at the point r where a*v + b crosses
+    ``level``, each with whether a*v + b exceeds ``level`` on it.  A part
+    lies on one side of r, so any endpoint other than r decides; the
+    point r itself sits at the level."""
+    if a == 0:
+        return [(iv, b > level)]
+    r = (level - b) / a
+    out = []
+    for part in _split(iv, r):
+        e = part.hi if part.lo == r else part.lo
+        out.append((part, e != r and (e > r) == (a > 0)))
+    return out
+
+
 def add(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
     return _merge(
         Piece(iv, pf.a + pg.a, pf.b + pg.b) for iv, (pf, pg) in _refine_many([f, g])
@@ -159,14 +174,10 @@ def _clamp_piece(piece: Piece) -> list[Piece]:
     the crossing point itself keeps the affine part (its value is exactly 1).
     """
     a, b = piece.a, piece.b
-    parts = [piece.interval] if a == 0 else _split(piece.interval, (ONE - b) / a)
-    over = [piece.value_at(part.midpoint()) > ONE for part in parts]
-    if not any(over):
+    parts = _cut(piece.interval, a, b, ONE)
+    if not any(over for _, over in parts):
         return [piece]
-    return [
-        Piece(part, ZERO, ONE) if above else Piece(part, a, b)
-        for part, above in zip(parts, over)
-    ]
+    return [Piece(part, ZERO, ONE) if over else Piece(part, a, b) for part, over in parts]
 
 
 def clamp_upper(f: PiecewiseLinear) -> PiecewiseLinear:
@@ -223,9 +234,8 @@ def _exists_sum(
     for interval, (*instances, tp) in _refine_many(explicit + [tail]):
         finite_a = sum((p.a for p in instances), ZERO)
         finite_b = sum((p.b for p in instances), ZERO)
-        parts = [interval] if tp.a == 0 else _split(interval, -tp.b / tp.a)
-        for part in parts:
-            if tp.value_at(part.midpoint()) > 0:
+        for part, diverges in _cut(interval, tp.a, tp.b, ZERO):
+            if diverges:
                 pieces.append(Piece(part, ZERO, ONE))
             else:
                 pieces.extend(_clamp_piece(Piece(part, finite_a, finite_b)))

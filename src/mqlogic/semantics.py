@@ -16,10 +16,17 @@ unit ``one``: ``ONE`` for rationals, or an integer scale for integer
 numerators over it.  Every clause maps multiples of 1/scale to multiples
 of 1/scale, so evaluation over the lcm of the valuation's denominators
 (and a sampler over the lcm of what it drew) is exact.
+
+Over integers, a sum-mode existential walks its tail instance first and
+returns 1 when the tail is positive, without collecting the explicit
+instances; otherwise it stops once their sum reaches 1.  It does so only
+where no skipped walk could raise or create a name (``_EvalState``), and
+walks every instance, explicit ones first, everywhere else.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -39,6 +46,7 @@ from .syntax import (
     Term,
     _subst,
     _without,
+    constant_weight,
     free_vars,
     normalize_formula,
     normalize_term,
@@ -47,6 +55,7 @@ from .syntax import (
     substitute_term,
     subterms,
     term_is_closed,
+    term_weight,
 )
 
 ZERO = Fraction(0)
@@ -152,10 +161,35 @@ class _EvalState:
     stored either: every visit must spend one unit of the unfolding
     budget and walk the named sentence, so that the budget runs out at
     the same atom as without the memo.
+
+    With ``stops_early`` set, a sum-mode existential walks its tail first
+    and skips the walks its value no longer depends on (see
+    ``_sum_until_decided``).  ``evaluate`` sets it only when a skipped
+    walk could neither raise nor change what a later walk sees, so that
+    the values, the errors and the names created are those of walking
+    every instance, explicit ones first:
+
+    - no unknown is designated, since the integer algebra raises at it;
+    - the valuation is not transparent, or the sentence has no truth
+      atom, so no walk unfolds, spends budget or raises UngroundedError;
+    - every rewrite step makes a closed term lighter (``constant_weight``),
+      so no rule has a quote right side that could create a name, and a
+      term normalises in fewer steps than its weight, through terms no
+      heavier than itself;
+    - no term the evaluation can build is heavy enough to come near the
+      step budget or the recursion limit.  An instance is a subterm of an
+      atom-map key or of an atom argument under the instances bound
+      outside it, so weighing each variable as the heaviest such term,
+      once per binder level, bounds every term a walk normalises or
+      renders; that bound plus the sentence's depth must stay under a
+      thirty-second of the recursion limit.
+
+    The caches above then fill with less, but they are exact memos.
     """
 
     __slots__ = (
         "valuation",
+        "stops_early",
         "unfolds_left",
         "normal_forms",
         "constants",
@@ -163,8 +197,9 @@ class _EvalState:
         "valuation_terms",
     )
 
-    def __init__(self, valuation: Valuation) -> None:
+    def __init__(self, valuation: Valuation, stops_early: bool = False) -> None:
         self.valuation = valuation
+        self.stops_early = stops_early
         self.unfolds_left = valuation.unfold_budget
         self.normal_forms: dict[Term, Term] = {}  # closed term -> normal form
         self.constants: dict[Atom, Any] = {}  # closed atom -> lifted value
@@ -273,13 +308,17 @@ def _no_unknown() -> Fraction:
 class ValueAlgebra:
     """What the formula walker needs from a value domain: atom values
     lifted from rationals, the designated unknown atom, and the clauses
-    for negation, the conditional and the existential."""
+    for negation, the conditional and the existential.  ``one`` is the
+    unit of a domain of ordered numbers, in which a sum-mode existential
+    may stop walking once its value is decided; None walks every
+    instance."""
 
     constant: Callable[[Fraction], Any]
     unknown: Callable[[], Any]
     neg: Callable[[Any], Any]
     cond: Callable[[Any, Any], Any]
     exists: Callable[[list, Any, str], Any]
+    one: Any = None
 
 
 def _scaled(valuation: Valuation) -> tuple[ValueAlgebra, int]:
@@ -295,6 +334,7 @@ def _scaled(valuation: Valuation) -> tuple[ValueAlgebra, int]:
         neg=partial(neg_value, one=one),
         cond=partial(cond_value, one=one),
         exists=partial(exists_value, one=one),
+        one=one,
     )
     return alg, one
 
@@ -329,9 +369,33 @@ def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
         a = _walk(alg, state, f.lhs, env)
         return alg.cond(a, _walk(alg, state, f.rhs, env))
     if isinstance(f, Exists):
+        if state.stops_early:
+            return _sum_until_decided(alg, state, f.body, f.var, env)
         explicit, tail = _instances(alg, state, f.body, f.var, env)
         return alg.exists([v for _, v in explicit], tail, valuation.mode)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _sum_until_decided(
+    alg: ValueAlgebra, state: _EvalState, body: Formula, var: str, env: Env
+):
+    """``exists_value`` of the sum mode, walking no instance past the one
+    that decides it: the tail first, since a positive tail diverges to 1,
+    then the explicit instances until their sum reaches 1.  A vacuous
+    binder is left to ``_instances``."""
+    env = _without(env, var)
+    if var not in free_vars(body):
+        explicit, tail = _instances(alg, state, body, var, env)
+        return alg.exists([v for _, v in explicit], tail, SUM)
+    one = alg.one
+    if _walk(alg, state, body, {**env, var: _TAIL_CONST}) > 0:
+        return one
+    total = 0
+    for t in _relevant_terms(state, body, env):
+        total += _walk(alg, state, body, {**env, var: t})
+        if total >= one:
+            return one
+    return total
 
 
 def _instances(
@@ -370,7 +434,43 @@ def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
     """
     if free_vars(f):
         raise OpenFormulaError(f"not a sentence: {render_formula(f)}")
-    return _walk(alg, _EvalState(valuation), f, {})
+    stops_early = (
+        alg.one is not None and valuation.mode == SUM and _skips_are_exact(valuation, f)
+    )
+    return _walk(alg, _EvalState(valuation, stops_early), f, {})
+
+
+def _skips_are_exact(valuation: Valuation, f: Formula) -> bool:
+    """Whether no instance walk in the sentence ``f`` can raise or create a
+    name, so that ``_sum_until_decided`` is exact (see ``_EvalState``)."""
+    const_weight = constant_weight(valuation.sig)
+    if valuation.unknown is not None or not const_weight:
+        return False
+    args: list[Term] = []
+    depth, binders, truth = _shape(f, args)
+    if not binders or (truth and valuation.transparent):
+        return False
+    heaviest = max(
+        [const_weight]  # the tail constant
+        + [term_weight(t, const_weight) for atom in valuation.atom_values for t in atom.args]
+    )
+    for _ in range(binders + 1):
+        heaviest = max([heaviest] + [term_weight(t, const_weight, heaviest) for t in args])
+    return 32 * (depth + heaviest) <= sys.getrecursionlimit()
+
+
+def _shape(f: Formula, args: list[Term]) -> tuple[int, int, bool]:
+    """The depth of ``f``, its deepest nesting of binders and whether it has
+    a truth atom; appends its atom arguments to ``args``."""
+    if isinstance(f, Atom):
+        args.extend(f.args)
+        return 1, 0, f.pred == "T"
+    if isinstance(f, Cond):
+        d1, b1, t1 = _shape(f.lhs, args)
+        d2, b2, t2 = _shape(f.rhs, args)
+        return 1 + max(d1, d2), max(b1, b2), t1 or t2
+    depth, binders, truth = _shape(f.body, args)
+    return 1 + depth, binders + isinstance(f, Exists), truth
 
 
 def eval_formula(valuation: Valuation, f: Formula) -> Fraction:

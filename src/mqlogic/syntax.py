@@ -238,6 +238,21 @@ def term_depth(t: Term) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
+def term_weight(t: Term, const_weight: int, var_weight: int = 1) -> int:
+    """The symbols of ``t``, counting a numeral n as the n + 1 symbols of
+    its zero/successor tower and a constant and a variable as the given
+    weights."""
+    if isinstance(t, App):
+        return 1 + sum(term_weight(a, const_weight, var_weight) for a in t.args)
+    if isinstance(t, Numeral):
+        return t.value + 1
+    if isinstance(t, Const):
+        return const_weight
+    if isinstance(t, Var):
+        return var_weight
+    raise TypeError(f"no weight for {t!r}")
+
+
 def subterms(t: Term) -> Iterator[Term]:
     yield t
     if isinstance(t, App):
@@ -303,9 +318,9 @@ class Signature:
     receives a numeral code and a rewrite rule mapping the constant to its
     code, so that closed terms normalise to numeral form.
 
-    The rule index and the normal-form memo are derived from the rule set
-    and the successor symbol; ``_rules_changed`` drops them whenever
-    either changes.
+    The rule index, the normal-form memo and the constant weight are
+    derived from the rule set and the successor symbol; ``_rules_changed``
+    drops them whenever either changes.
     """
 
     def __init__(self) -> None:
@@ -327,6 +342,7 @@ class Signature:
         self._lock = threading.RLock()
         self._rule_index: Optional[dict[object, tuple[RewriteRule, ...]]] = None
         self._normal_forms: dict[Term, tuple[Term, int]] = {}
+        self._const_weight: Optional[int] = None
 
     # -- declarations ------------------------------------------------------
 
@@ -489,6 +505,7 @@ class Signature:
     def _rules_changed(self) -> None:
         self._rule_index = None
         self._normal_forms = {}
+        self._const_weight = None
 
 
 
@@ -679,6 +696,42 @@ def _rules_at_root(sig: Signature, t: Term) -> tuple[RewriteRule, ...]:
     if isinstance(t, Numeral):
         return index.get(Numeral, ())
     return index.get(t, ())
+
+
+def constant_weight(sig: Signature) -> int:
+    """A weight for constants under which every rewrite step makes a closed
+    term strictly lighter (``term_weight``), or 0 when the rules admit
+    none.  Such a term then normalises in fewer steps than its weight,
+    through terms no heavier than itself, and creates no name.
+
+    The weight is one more than the heaviest right side of a rule for a
+    constant (validate_rule admits only zero/successor terms there), or
+    1 without such rules.  Every right side must then be quote-free,
+    repeat no variable and be lighter than its left side, a variable
+    weighing 1.  Left sides are linear, so each variable's instance moves
+    into the result at most once and the step loses at least what the
+    rule loses.  Cached per rule set.
+    """
+    if sig._const_weight is None:
+        rules = sig.rewrites
+        weight = 0
+        if not any(isinstance(u, Quote) for r in rules for u in subterms(r.rhs)):
+            weight = 1 + max(
+                (term_weight(r.rhs, 0) for r in rules if isinstance(r.lhs, Const)),
+                default=0,
+            )
+            if not all(
+                _is_linear(r.rhs) and term_weight(r.rhs, weight) < term_weight(r.lhs, weight)
+                for r in rules
+            ):
+                weight = 0
+        sig._const_weight = weight
+    return sig._const_weight
+
+
+def _is_linear(t: Term) -> bool:
+    names = [u.name for u in subterms(t) if isinstance(u, Var)]
+    return len(names) == len(set(names))
 
 
 def _normalize_in(sig: Signature, t: Term, budget: _Budget) -> Term:

@@ -462,6 +462,22 @@ OPEN_EXISTS_LEFT = {
 }
 
 
+SLOT_PAST_TERMS = {
+    "seq": {
+        "ant": [["Ex x P(x)", 1]],
+        "suc": [],
+        "sucFams": [{"var": "n", "start": 0, "formula": "P(n)"}],
+    },
+    "rule": "ExistsLw",
+    "principal": {"formula": "Ex x P(x)"},
+    "family": {
+        "var": "n",
+        "start": 0,
+        "template": {"seq": {"ant": [["P(n)", 1]], "suc": [["P(n)", 1]]}, "rule": "Init"},
+    },
+}
+
+
 class TestOpenMembers:
     """Derivation sides may hold open formulas; the checker judges a node
     over them rather than raising."""
@@ -484,3 +500,20 @@ class TestOpenMembers:
         assert [(n.rule, n.ok) for n in report.per_node] == [
             (data["rule"], True), ("Init", False)
         ]
+
+
+class TestFamilySlots:
+    def test_family_slot_past_the_closed_terms_fails_its_node(self):
+        # over the one constant a, slot 0 is P(a) |- P(a) and slot 1 has no
+        # closed term to instantiate at
+        sig = load_signature(OPEN_SIG)
+        report = check_derivation(derivation_from_json(SLOT_PAST_TERMS, sig), sig)
+        assert not report.ok
+        assert [(n.path, n.ok) for n in report.per_node] == [
+            ("root", True), ("root.fam[0]", True), ("root.fam[1]", False)
+        ]
+        assert report.per_node[-1].message == (
+            "family slot 1 exceeds the closed terms of the signature"
+        )
+        assert report.family_spot_checks == [("root", 0, True), ("root", 1, False)]
+

@@ -128,6 +128,22 @@ OPEN_EXISTS_LEFT = {
     },
 }
 
+# Over pred P/1 and const a, the family's slot 1 has no closed term.
+SLOT_PAST_TERMS = {
+    "seq": {
+        "ant": [["Ex x P(x)", 1]],
+        "suc": [],
+        "sucFams": [{"var": "n", "start": 0, "formula": "P(n)"}],
+    },
+    "rule": "ExistsLw",
+    "principal": {"formula": "Ex x P(x)"},
+    "family": {
+        "var": "n",
+        "start": 0,
+        "template": {"seq": {"ant": [["P(n)", 1]], "suc": [["P(n)", 1]]}, "rule": "Init"},
+    },
+}
+
 
 class TestCheckDerivation:
     def test_policies(self, capsys, tmp_path, liar_sig):
@@ -318,6 +334,19 @@ class TestCheckDerivation:
         assert [(n["rule"], n["ok"]) for n in nodes] == [
             (data["rule"], True), ("Init", False)
         ]
+
+    def test_family_slot_past_the_closed_terms_exit_1(self, capsys, tmp_path):
+        s = tmp_path / "s.sig"
+        s.write_text("pred P/1\nconst a\n")
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(SLOT_PAST_TERMS))
+        code, out = run(
+            capsys, "check-derivation", "-d", str(d), "--sig", str(s), "--json"
+        )
+        assert code == 1
+        node = json.loads(out)["perNode"][-1]
+        assert (node["path"], node["ok"]) == ("root.fam[1]", False)
+        assert node["message"] == "family slot 1 exceeds the closed terms of the signature"
 
 
 class TestFileErrors:

@@ -479,6 +479,9 @@ class TestEnvironmentEvaluation:
 
 
 LIAR_SIG = FUN_SIG + "name l = ~Ex x T(l)\n"
+# without the quote rule every rewrite step shrinks a term, so a sum-mode
+# Ex may stop walking once its value is decided (h is a plain function)
+TAME_LIAR_SIG = LIAR_SIG.replace("rewrite h(x) => quote(P(x))\n", "")
 
 
 def ref_fraction_value(v: Valuation, f) -> F:
@@ -541,14 +544,40 @@ class TestScaledEvaluation:
     )
     # all-integer valuation: the scale is 1
     @example(({"P(a)": F(1), "Q(b)": F(0)}, (F(0), F(1))), "~(Ex x ((P(x) -> Q(x))))", 64)
+    # sum mode: a positive tail; a tail of 0 whose sum reaches exactly 1 at
+    # f(a), before f(b) and f(f(b)); a tail of 0 whose sum stays below 1
+    @example(({"P(a)": F(1, 2)}, (F(1, 3), F(0))), "Ex x (P(x))", 64)
+    @example(
+        ({"P(a)": F(1, 2), "P(f(a))": F(1, 2), "P(f(f(b)))": F(1, 4)}, (F(0), F(0))),
+        "Ex x (P(x))",
+        64,
+    )
+    @example(({"P(a)": F(1, 3), "P(f(a))": F(1, 4)}, (F(0), F(0))), "Ex x (P(x))", 64)
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_walker(self, valuation, text, budget):
+        self.compare(LIAR_SIG, valuation, text, budget)
+
+    @given(fun_valuations, fun_sentences(truth=True), st.integers(0, 12))
+    @example(({"P(a)": F(1, 2)}, (F(1, 3), F(0))), "Ex x (P(x))", 64)
+    @example(
+        ({"P(a)": F(1, 2), "P(f(a))": F(1, 2), "P(f(f(b)))": F(1, 4)}, (F(0), F(0))),
+        "Ex x (P(x))",
+        64,
+    )
+    @example(({"P(a)": F(1, 3), "P(f(a))": F(1, 4)}, (F(0), F(0))), "Ex x (P(x))", 64)
+    @example(({"P(a)": F(1, 2)}, (F(0), F(0))), "Ex x (Q(x) -> T(l))", 3)
+    @settings(max_examples=200, deadline=None)
+    def test_stopping_early_matches_fraction_walker(self, valuation, text, budget):
+        self.compare(TAME_LIAR_SIG, valuation, text, budget)
+
+    @staticmethod
+    def compare(sig_text, valuation, text, budget):
         atoms, (p_default, q_default) = valuation
         for mode in (SUM, SUP):
             for transparent in (False, True):
                 runs = []
                 for evaluate in (eval_formula, ref_fraction_value):
-                    sig = load_signature(LIAR_SIG)
+                    sig = load_signature(sig_text)
                     v = Valuation(
                         sig,
                         mode=mode,

@@ -10,6 +10,7 @@ from mqlogic.semantics import (
     SUM,
     SUP,
     OpenFormulaError,
+    SemanticsError,
     TailSeq,
     UngroundedError,
     Valuation,
@@ -33,6 +34,7 @@ from mqlogic.syntax import (
     Var,
     load_signature,
     parse_formula,
+    render_formula,
     render_term,
 )
 
@@ -232,6 +234,94 @@ class TestQuantifier:
         assert eval_formula(v, chain) == expected
         assert time.perf_counter() - start < 1
         assert eval_formula(v, parse_formula(short, v.sig)) == expected
+
+
+class TestSumStopsEarly:
+    """A sum-mode existential stops walking once its value is decided, and
+    only where no skipped walk could raise or create a name: each case
+    below gives what walking every instance gives."""
+
+    def test_chain_with_positive_tail(self):
+        # the tail of Ex x0 is positive (P($tail) = 0 makes the body 1), so
+        # no explicit instance is walked at any level; walking all of them
+        # takes (relevant terms)^8 walks
+        v = load_valuation(
+            "mode sum\natom P(a) = 1/3\natom P(b) = 1/4\natom P(c) = 1/5\n"
+        )
+        body = " -> ".join(f"P(x{i})" for i in range(8))
+        chain = " ".join(f"Ex x{i}" for i in range(8)) + f" ({body})"
+        start = time.perf_counter()
+        assert eval_formula(v, parse_formula(chain, v.sig)) == 1
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "rules, n, body",
+        [
+            # d doubles a numeral, so d^10(20) needs 20,480 nested steps
+            ("fun d/1\nrewrite d(0) => 0\nrewrite d(s(x)) => s(s(d(x)))\n",
+             20, "d(" * 10 + "x" + ")" * 10),
+            # e(n) = 2^n through d: the terms are light, the rules grow them
+            ("fun e/1\nfun d/1\nrewrite d(0) => 0\nrewrite d(s(x)) => s(s(d(x)))\n"
+             "rewrite e(0) => s(0)\nrewrite e(s(x)) => d(e(x))\n", 12, "e(x)"),
+            # the rule shrinks terms, but k(2000) becomes a tower of 1,000 h
+            ("fun k/1\nfun h/1\nrewrite k(s(s(x))) => h(k(x))\n", 2000, "k(x)"),
+        ],
+        ids=["doubling", "exponential", "heavy-instance"],
+    )
+    def test_blow_up_on_an_instance_still_raises(self, rules, n, body):
+        # the tail is positive, but the explicit instance n raises
+        sig = load_signature("arith 0 s\npred P/1\n" + rules)
+        v = load_valuation(f"mode sum\ndefault P = 1/2\natom P({n}) = 1/2\n", sig)
+        with pytest.raises(RecursionError):
+            eval_formula(v, parse_formula(f"Ex x P({body})", sig))
+
+    def test_quote_rules_create_the_same_names(self):
+        # the tail is positive (default P = 1), yet every instance is walked
+        # and names its sentence, in the order of walking them all
+        sig = truth_coding_signature()
+        sig.add_predicate("P", 1)
+        before = set(sig.naming_scheme)
+        f = parse_formula("Ex x (P(fm(x, 0)) -> Ex y ~P(fm(3, y)))", sig)
+        v = Valuation(
+            sig,
+            atom_values={Atom("P", (Numeral(0),)): F(2, 3), Atom("P", (Numeral(3),)): F(4, 5)},
+            predicate_defaults={"P": F(1)},
+        )
+        assert eval_formula(v, f) == 1
+        created = [(c, g) for c, g in sig.naming_scheme.items() if c not in before]
+        assert [(c, render_formula(g)) for c, g in created] == [
+            ("q0", "T(0)"), ("q1", "T(1)"), ("q2", "T(2)"), ("q3", "T(3)"),
+            ("q4", "T(4)"), ("q5", "T(5)"), ("q6", "T($tail)"), ("q7", "T(7)"),
+            ("q8", "T(8)"),
+        ]
+
+    def test_transparent_liar_body_is_ungrounded(self):
+        # T($tail) names nothing and is 1/2, but the instance l unfolds the
+        # liar-like ~Ex x T(x) until the budget runs out
+        sig = load_signature("pred P/1\nconst a\nname l = ~Ex x T(x)\n")
+        v = load_valuation(
+            "mode sum\ntransparent on\ndefault T = 1/2\natom P(l) = 1/2\n", sig
+        )
+        with pytest.raises(UngroundedError) as e:
+            eval_formula(v, parse_formula("Ex x T(x)", sig))
+        assert str(e.value) == "transparent unfolding exhausted at T(l)"
+
+    def test_designated_unknown_raises(self):
+        sig = load_signature("pred P/1\nconst a\nname l = ~Ex x T(x)\n")
+        v = load_valuation("mode sum\nunknown T(l)\ndefault T = 1/2\n", sig)
+        with pytest.raises(SemanticsError, match="symbolic value"):
+            eval_formula(v, parse_formula("Ex x T(x)", sig))
+
+    def test_instance_values_stay_complete(self, psig):
+        psig.add_constant("b")
+        v = Valuation(
+            psig,
+            atom_values={parse_formula(a, psig): q for a, q in (("P(a)", F(1)), ("P(b)", F(0)))},
+            predicate_defaults={"P": F(1, 2)},
+        )
+        explicit, tail = instance_values(v, Atom("P", (Var("x"),)), "x")
+        assert explicit == [(Const("a"), F(1)), (Const("b"), F(0))]
+        assert tail == F(1, 2)
 
 
 class TestSequentEvaluation:

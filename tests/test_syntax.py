@@ -18,6 +18,7 @@ from mqlogic.syntax import (
     StepBudgetError,
     UnknownSymbolError,
     Var,
+    constant_weight,
     enumerate_closed_terms,
     formulas_equal,
     free_vars,
@@ -347,6 +348,28 @@ class TestRewriting:
         s.add_function("f", 1)
         with pytest.raises(RuleOrientationError):
             s.add_rewrite(App("f", (Var("x"),)), Var("y"))
+
+    @pytest.mark.parametrize(
+        "text, weight",
+        [
+            ("fun f/1\nfun g/1\nrewrite g(f(x)) => x\n", 1),
+            # name codes 0 and 1: a constant outweighs the numeral it becomes
+            ("arith 0 s\nname l = T(0)\nname k = T(1)\nfun f/1\n"
+             "rewrite f(s(x)) => x\n", 3),
+            ("fun f/1\nfun h/1\nrewrite h(x) => quote(T(x))\n", 0),  # quote
+            ("fun f/1\nfun g/1\nfun h/2\nrewrite f(g(g(x))) => h(x, x)\n", 0),
+            ("fun f/1\nfun g/1\nrewrite f(x) => g(x)\n", 0),  # not lighter
+        ],
+        ids=["shrinking", "name-codes", "quote", "repeated-var", "same-size"],
+    )
+    def test_constant_weight(self, text, weight):
+        assert constant_weight(load_signature(text)) == weight
+
+    def test_constant_weight_follows_the_rules(self):
+        s = load_signature("fun f/1\nfun g/1\nrewrite g(f(x)) => x\n")
+        assert constant_weight(s) == 1
+        s.add_rewrite(App("f", (Var("x"),)), App("g", (Var("x"),)))
+        assert constant_weight(s) == 0
 
 
 class TestSignatureLoading:
