@@ -294,7 +294,7 @@ class _RuleChecker:
     def _rep_term(self, slot: int) -> Term:
         if self.sig.has_arithmetic:
             return Numeral(slot)
-        terms = enumerate_closed_terms(self.sig, slot + 1)
+        terms = enumerate_closed_terms(self.sig, slot + 1) if self.sig.constants else []
         if len(terms) <= slot:
             raise CheckError(
                 f"family slot {slot} exceeds the closed terms of the signature"

@@ -128,10 +128,6 @@ def draw_unit(rng: random.Random, max_denominator: int, low: int = 0) -> Draw:
     return randint(rng, low, den), den
 
 
-def sample_unit(rng: random.Random, max_denominator: int) -> Fraction:
-    return Fraction(*draw_unit(rng, max_denominator))
-
-
 def draw_context(
     rng: random.Random, cfg: FuzzConfig
 ) -> list[tuple[Draw, Multiplicity]]:

@@ -17,11 +17,12 @@ numerators over it.  Every clause maps multiples of 1/scale to multiples
 of 1/scale, so evaluation over the lcm of the valuation's denominators
 (and a sampler over the lcm of what it drew) is exact.
 
-Over integers, a sum-mode existential walks its tail instance first and
-returns 1 when the tail is positive, without collecting the explicit
-instances; otherwise it stops once their sum reaches 1.  It does so only
-where no skipped walk could raise or create a name (``_EvalState``), and
-walks every instance, explicit ones first, everywhere else.
+Over integers, an existential walks its tail instance first and its
+explicit instances only as ``exists_value`` reads them: a sum-mode one
+returns 1 on a positive tail without collecting them, or stops once their
+sum reaches 1, and a sup-mode one reads them all.  It does so only where
+no skipped walk could raise or create a name (``_EvalState``), and walks
+every instance, explicit ones first, everywhere else.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .syntax import (
     Neg,
     Signature,
     Term,
-    _subst,
     _without,
     constant_weight,
     free_vars,
@@ -162,9 +162,10 @@ class _EvalState:
     budget and walk the named sentence, so that the budget runs out at
     the same atom as without the memo.
 
-    With ``stops_early`` set, a sum-mode existential walks its tail first
-    and skips the walks its value no longer depends on (see
-    ``_sum_until_decided``).  ``evaluate`` sets it only when a skipped
+    With ``stops_early`` set, an existential walks its tail first and its
+    explicit instances only as ``exists_value`` reads them (see
+    ``_instances``), so a sum-mode one skips the walks its value no longer
+    depends on.  ``evaluate`` sets it only when a skipped or reordered
     walk could neither raise nor change what a later walk sees, so that
     the values, the errors and the names created are those of walking
     every instance, explicit ones first:
@@ -281,15 +282,16 @@ def _relevant_terms(state: _EvalState, body: Formula, env: Env) -> list[Term]:
 # The semantic clauses, written once over a value algebra
 
 
-def exists_value(explicit: list, tail, mode: str, one=ONE):
+def exists_value(explicit: Iterable, tail, mode: str, one=ONE):
     """The existential over an instance family (explicit values plus the
     common value of every other instance): the supremum, or the clamped
-    series, which diverges as soon as the tail is positive."""
+    series, which diverges as soon as the tail is positive and reads no
+    explicit value past the one at which it reaches 1."""
     if mode == SUP:
-        return max(explicit + [tail]) if explicit else tail
+        return max((*explicit, tail))
     if tail > 0:
         return one
-    return side_sum([(v, 1) for v in explicit], one=one)
+    return side_sum(((v, 1) for v in explicit), one=one)
 
 
 def neg_value(a, one=ONE):
@@ -309,15 +311,15 @@ class ValueAlgebra:
     """What the formula walker needs from a value domain: atom values
     lifted from rationals, the designated unknown atom, and the clauses
     for negation, the conditional and the existential.  ``one`` is the
-    unit of a domain of ordered numbers, in which a sum-mode existential
-    may stop walking once its value is decided; None walks every
-    instance."""
+    unit of a domain of ordered numbers, in which an existential may walk
+    its instances tail first and as it reads them; None walks every
+    instance, explicit ones first."""
 
     constant: Callable[[Fraction], Any]
     unknown: Callable[[], Any]
     neg: Callable[[Any], Any]
     cond: Callable[[Any, Any], Any]
-    exists: Callable[[list, Any, str], Any]
+    exists: Callable[[Iterable, Any, str], Any]
     one: Any = None
 
 
@@ -369,52 +371,30 @@ def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
         a = _walk(alg, state, f.lhs, env)
         return alg.cond(a, _walk(alg, state, f.rhs, env))
     if isinstance(f, Exists):
-        if state.stops_early:
-            return _sum_until_decided(alg, state, f.body, f.var, env)
-        explicit, tail = _instances(alg, state, f.body, f.var, env)
-        return alg.exists([v for _, v in explicit], tail, valuation.mode)
+        return alg.exists(*_instances(alg, state, f.body, f.var, env), valuation.mode)
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _sum_until_decided(
-    alg: ValueAlgebra, state: _EvalState, body: Formula, var: str, env: Env
-):
-    """``exists_value`` of the sum mode, walking no instance past the one
-    that decides it: the tail first, since a positive tail diverges to 1,
-    then the explicit instances until their sum reaches 1.  A vacuous
-    binder is left to ``_instances``."""
-    env = _without(env, var)
-    if var not in free_vars(body):
-        explicit, tail = _instances(alg, state, body, var, env)
-        return alg.exists([v for _, v in explicit], tail, SUM)
-    one = alg.one
-    if _walk(alg, state, body, {**env, var: _TAIL_CONST}) > 0:
-        return one
-    total = 0
-    for t in _relevant_terms(state, body, env):
-        total += _walk(alg, state, body, {**env, var: t})
-        if total >= one:
-            return one
-    return total
 
 
 def _instances(
     alg: ValueAlgebra, state: _EvalState, body: Formula, var: str, env: Env
-) -> tuple[list[tuple[Term, Any]], Any]:
+) -> tuple[Iterable, Any]:
+    """The values of the instances of ``Ex var body`` under ``env``: one
+    per relevant term, and the common value of every other instance.
+    With ``stops_early`` the tail is walked first, and the explicit
+    instances only as they are read."""
     env = _without(env, var)
-    free = free_vars(body)
-    if free - env.keys() - {var}:
-        raise OpenFormulaError(
-            "instance family needs at most one free variable: "
-            + render_formula(_subst(body, env))
-        )
-    terms = _relevant_terms(state, body, env)
-    if var in free:
-        explicit = [(t, _walk(alg, state, body, {**env, var: t})) for t in terms]
+    vacuous = var not in free_vars(body)
+    if state.stops_early:
+        tail = _walk(alg, state, body, {**env, var: _TAIL_CONST})
+        # a vacuous binder: every instance is the tail
+        return (() if vacuous else _explicit_values(alg, state, body, var, env)), tail
+    if not vacuous:
+        explicit = list(_explicit_values(alg, state, body, var, env))
         return explicit, _walk(alg, state, body, {**env, var: _TAIL_CONST})
     # A vacuous binder: every instance is the same walk.  Walk once and
     # charge what the other walks would spend; if the budget cannot cover
     # them, make them, so that it runs out at the same atom.
+    terms = _relevant_terms(state, body, env)
     before = state.unfolds_left
     value = _walk(alg, state, body, env)
     repeat_cost = (before - state.unfolds_left) * len(terms)
@@ -423,7 +403,15 @@ def _instances(
     else:
         for _ in terms:
             _walk(alg, state, body, env)
-    return [(t, value) for t in terms], value
+    return [value] * len(terms), value
+
+
+def _explicit_values(
+    alg: ValueAlgebra, state: _EvalState, body: Formula, var: str, env: Env
+) -> Iterator:
+    """The value of each relevant instance, walked as it is read."""
+    for t in _relevant_terms(state, body, env):
+        yield _walk(alg, state, body, {**env, var: t})
 
 
 def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
@@ -434,15 +422,13 @@ def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
     """
     if free_vars(f):
         raise OpenFormulaError(f"not a sentence: {render_formula(f)}")
-    stops_early = (
-        alg.one is not None and valuation.mode == SUM and _skips_are_exact(valuation, f)
-    )
+    stops_early = alg.one is not None and _skips_are_exact(valuation, f)
     return _walk(alg, _EvalState(valuation, stops_early), f, {})
 
 
 def _skips_are_exact(valuation: Valuation, f: Formula) -> bool:
     """Whether no instance walk in the sentence ``f`` can raise or create a
-    name, so that ``_sum_until_decided`` is exact (see ``_EvalState``)."""
+    name, so that walking instances lazily is exact (see ``_EvalState``)."""
     const_weight = constant_weight(valuation.sig)
     if valuation.unknown is not None or not const_weight:
         return False
@@ -479,19 +465,6 @@ def eval_formula(valuation: Valuation, f: Formula) -> Fraction:
     return unit(Fraction(evaluate(valuation, f, alg), one))
 
 
-def instance_values(
-    valuation: Valuation, f: Formula, var: str
-) -> tuple[list[tuple[Term, Fraction]], Fraction]:
-    """Instance values of ``f`` over the closed-term enumeration.
-
-    Returns the explicit part (one entry per relevant term, deduplicated
-    by normal form) and the common value of every other instance.
-    """
-    alg, one = _scaled(valuation)
-    explicit, tail = _instances(alg, _EvalState(valuation), f, var, {})
-    return [(t, Fraction(v, one)) for t, v in explicit], Fraction(tail, one)
-
-
 # ---------------------------------------------------------------------------
 # Sequent evaluation
 
@@ -500,19 +473,22 @@ def side_sum(
     entries: Iterable[tuple[Any, Multiplicity]], negate: bool = False, one=ONE
 ):
     """min(1, sum of the values, or of 1 - value with ``negate``), copies
-    counted.  Omega copies of a positive term diverge and clamp to 1."""
+    counted.  Omega copies of a positive term diverge and clamp to 1.
+    Reads no entry past the one at which the sum reaches 1."""
     total = ZERO if one is ONE else 0  # rationals in, a rational out
-    diverges = False
     for v, m in entries:
         if negate:
             v = one - v
         if v < 0:
             raise ValueError("extended sums are nonnegative")
         if m is OMEGA:
-            diverges = diverges or v > 0
+            if v > 0:
+                return one
         else:
             total += v if m == 1 else v * m
-    return one if diverges or total >= one else total
+            if total >= one:
+                return one
+    return total
 
 
 def value_sequent_sound(

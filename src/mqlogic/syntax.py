@@ -11,9 +11,8 @@ rewrite rules used to normalise closed terms.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 
 class SyntaxError_(Exception):
@@ -339,7 +338,6 @@ class Signature:
         self._name_code: dict[str, int] = {}
         self._code_name: dict[int, str] = {}
         self._fresh_counter = 0
-        self._lock = threading.RLock()
         self._rule_index: Optional[dict[object, tuple[RewriteRule, ...]]] = None
         self._normal_forms: dict[Term, tuple[Term, int]] = {}
         self._const_weight: Optional[int] = None
@@ -445,21 +443,20 @@ class Signature:
         self._add_rule(RewriteRule(Const(const), Numeral(code), label=f"code.{const}"))
 
     def name_of(self, formula: Formula) -> Const:
-        """The canonical-name constant of a sentence (memoised; atomic)."""
+        """The canonical-name constant of a sentence (memoised)."""
         if free_vars(formula):
             raise SignatureError("only sentences have canonical names")
-        with self._lock:
-            key = normalize_formula(formula, self)
-            existing = self._name_of_formula.get(key)
-            if existing is not None:
-                return Const(existing)
-            const = self._fresh_name()
-            self.constants.append(const)
-            self._symbols.add(const)
-            self._assign_code(const)
-            self._named_formula[const] = key
-            self._name_of_formula[key] = const
-            return Const(const)
+        key = normalize_formula(formula, self)
+        existing = self._name_of_formula.get(key)
+        if existing is not None:
+            return Const(existing)
+        const = self._fresh_name()
+        self.constants.append(const)
+        self._symbols.add(const)
+        self._assign_code(const)
+        self._named_formula[const] = key
+        self._name_of_formula[key] = const
+        return Const(const)
 
     def _fresh_name(self) -> str:
         while True:
@@ -915,6 +912,9 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+_T = TypeVar("_T")
+
+
 class _Parser:
     def __init__(
         self,
@@ -947,8 +947,13 @@ class _Parser:
             raise ParseError(f"expected '{text}' but found '{t.text}'", t.pos)
         return t
 
-    def at_end(self) -> bool:
-        return self.i >= len(self.toks)
+    def whole(self, parse: Callable[[], _T]) -> _T:
+        """What ``parse`` reads, which must be the whole input."""
+        result = parse()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input '{tok.text}'", tok.pos)
+        return result
 
     # formula := cond
     # cond    := unary ('->' cond)?
@@ -1088,29 +1093,12 @@ def parse_formula(text: str, sig: Signature, lenient: bool = False) -> Formula:
     identifiers become constants; used by the command-line surface.
     """
     p = _Parser(text, sig, lenient=lenient)
-    f = p.formula()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input '{tok.text}'", tok.pos)
-    return f
+    return p.whole(p.formula)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
     p = _Parser(text, sig)
-    t = p.term()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input '{tok.text}'", tok.pos)
-    return t
-
-
-def _parse_rule_side(text: str, sig: Signature) -> Term:
-    p = _Parser(text, sig, open_quotes=True)
-    t = p.term()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input '{tok.text}'", tok.pos)
-    return t
+    return p.whole(p.term)
 
 
 def load_signature(text: str) -> Signature:
@@ -1163,10 +1151,10 @@ def load_signature(text: str) -> Signature:
         if not sep:
             raise SignatureError(f"line {lineno}: rewrite needs '=>'")
         try:
-            sig.add_rewrite(
-                _parse_rule_side(lhs_text.strip(), sig),
-                _parse_rule_side(rhs_text.strip(), sig),
-            )
+            p = _Parser(lhs_text.strip(), sig, open_quotes=True)
+            lhs = p.whole(p.term)
+            p = _Parser(rhs_text.strip(), sig, open_quotes=True)
+            sig.add_rewrite(lhs, p.whole(p.term))
         except SyntaxError_ as e:
             raise SignatureError(f"line {lineno}: {e}") from e
     return sig

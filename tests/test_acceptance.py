@@ -19,9 +19,9 @@ from mqlogic.derivations import liar_signature, prop1_derivation, prop3_derivati
 from mqlogic.fuzz import (
     FuzzConfig,
     RULE_CHOICES,
+    draw_unit,
     existsr_value_instance,
     fuzz_rule,
-    sample_unit,
 )
 from mqlogic.multiset import Sequent as ProofSequent
 from mqlogic.experiments import _lemma1_sample
@@ -30,10 +30,12 @@ from mqlogic.semantics import (
     SUM,
     SUP,
     Valuation,
+    _EvalState,
+    _instances,
+    _scaled,
     check_lemma1_instance,
     eval_formula,
     exists_value as quantifier_value,
-    instance_values,
     lemma1_conclusion_finite_oracle,
 )
 from mqlogic.syntax import (
@@ -238,9 +240,9 @@ def _atom_pool(sig):
 
 
 def _rand_valuation(rng, sig, mode=SUM):
-    values = {a: sample_unit(rng, 60) for a in _atom_pool(sig)}
+    values = {a: F(*draw_unit(rng, 60)) for a in _atom_pool(sig)}
     defaults = {
-        p: (F(0) if rng.random() < 0.5 else sample_unit(rng, 60))
+        p: (F(0) if rng.random() < 0.5 else F(*draw_unit(rng, 60)))
         for p, _ in sig.predicates
     }
     return Valuation(sig, mode=mode, atom_values=values, predicate_defaults=defaults)
@@ -312,8 +314,8 @@ def test_criterion_7_semantic_clause_suites():
 
     # quantifier comparison on random instance families
     for i in range(10_000):
-        explicit = [sample_unit(rng, 60) for _ in range(rng.randint(0, 8))]
-        tail = F(0) if rng.random() < 0.5 else sample_unit(rng, 60)
+        explicit = [F(*draw_unit(rng, 60)) for _ in range(rng.randint(0, 8))]
+        tail = F(0) if rng.random() < 0.5 else F(*draw_unit(rng, 60))
         s = quantifier_value(explicit, tail, SUM)
         m = quantifier_value(explicit, tail, SUP)
         assert s >= m, i
@@ -327,7 +329,8 @@ def test_criterion_7_semantic_clause_suites():
         body = _rand_formula(rng, 2, allow_var=True)
         if free_vars(body) - {"x"}:
             continue
-        _, tail = instance_values(v, body, "x")
+        alg, one = _scaled(v)
+        tail = F(_instances(alg, _EvalState(v), body, "x", {})[1], one)
         bound = "x" in free_vars(body)
         for j in range(20):
             t = Const(f"fresh{i}_{j}")

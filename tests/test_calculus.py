@@ -517,3 +517,15 @@ class TestFamilySlots:
         )
         assert report.family_spot_checks == [("root", 0, True), ("root", 1, False)]
 
+    def test_family_slot_without_constants_fails_its_node(self):
+        # with no constant there is no closed term at all, so slot 0 fails
+        sig = load_signature("pred P/1\n")
+        report = check_derivation(derivation_from_json(SLOT_PAST_TERMS, sig), sig)
+        assert not report.ok
+        assert [(n.path, n.ok) for n in report.per_node] == [
+            ("root", True), ("root.fam[0]", False)
+        ]
+        assert report.per_node[-1].message == (
+            "family slot 0 exceeds the closed terms of the signature"
+        )
+        assert report.family_spot_checks == [("root", 0, False)]

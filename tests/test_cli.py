@@ -348,6 +348,19 @@ class TestCheckDerivation:
         assert (node["path"], node["ok"]) == ("root.fam[1]", False)
         assert node["message"] == "family slot 1 exceeds the closed terms of the signature"
 
+    def test_family_slot_without_constants_exit_1(self, capsys, tmp_path):
+        s = tmp_path / "s.sig"
+        s.write_text("pred P/1\n")
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(SLOT_PAST_TERMS))
+        code, out = run(
+            capsys, "check-derivation", "-d", str(d), "--sig", str(s), "--json"
+        )
+        assert code == 1
+        node = json.loads(out)["perNode"][-1]
+        assert (node["path"], node["ok"]) == ("root.fam[0]", False)
+        assert node["message"] == "family slot 0 exceeds the closed terms of the signature"
+
 
 class TestFileErrors:
     @pytest.mark.parametrize(

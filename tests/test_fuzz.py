@@ -6,10 +6,10 @@ from mqlogic.calculus import MULTIPLICATIVE, Derivation, check_derivation, deriv
 from mqlogic.fuzz import (
     FuzzConfig,
     RULE_CHOICES,
+    draw_unit,
     existsr_value_instance,
     fuzz_rule,
     generate_derivation,
-    sample_unit,
     toy_signature,
 )
 from mqlogic.multiset import OMEGA
@@ -38,12 +38,12 @@ def random_valuation(
     take the value 0 half the time so divergent and convergent quantifier
     tails both appear."""
     atom_values = {
-        a: sample_unit(rng, max_denominator) for a in atoms if isinstance(a, Atom)
+        a: F(*draw_unit(rng, max_denominator)) for a in atoms if isinstance(a, Atom)
     }
     defaults = {}
     for p, _ in sig.predicates:
         defaults[p] = (
-            ZERO if rng.random() < 0.5 else sample_unit(rng, max_denominator)
+            ZERO if rng.random() < 0.5 else F(*draw_unit(rng, max_denominator))
         )
     return Valuation(
         sig, mode=mode, atom_values=atom_values, predicate_defaults=defaults
@@ -147,5 +147,5 @@ class TestDerivationGenerator:
 
     def test_sampler_hits_bounds(self):
         rng = random.Random(0)
-        values = {sample_unit(rng, 4) for _ in range(500)}
+        values = {F(*draw_unit(rng, 4)) for _ in range(500)}
         assert F(0) in values and F(1) in values

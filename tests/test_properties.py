@@ -16,7 +16,7 @@ from extended_sums import INFINITE, ExtendedSum
 from rewrite_oracle import normalize_term_outermost
 from mqlogic.derivations import prop1_derivation, truth_coding_signature
 from mqlogic.experiments import _lemma1_sample
-from mqlogic.fuzz import _SAMPLERS, RULE_CHOICES, FuzzConfig, sample_unit
+from mqlogic.fuzz import _SAMPLERS, RULE_CHOICES, FuzzConfig, draw_unit
 from mqlogic.multiset import OMEGA, FormulaFamily, SequentSide
 from mqlogic.piecewise import eval_parametric, piecewise_to_json
 from mqlogic.semantics import (
@@ -26,13 +26,14 @@ from mqlogic.semantics import (
     UngroundedError,
     Valuation,
     _EvalState,
+    _instances,
     _relevant_terms,
+    _scaled,
     check_lemma1_instance,
     eval_formula,
     eval_antecedent,
     eval_succedent,
     exists_value,
-    instance_values,
     lemma1_conclusion_finite_oracle,
     side_sum,
     value_sequent_sound,
@@ -313,7 +314,8 @@ class TestSemanticProperties:
     def test_tail_correctness(self, v, body, x, salt):
         if free_vars(body) - {x}:
             return
-        _, tail = instance_values(v, body, x)
+        alg, one = _scaled(v)
+        tail = F(_instances(alg, _EvalState(v), body, x, {})[1], one)
         rng = random.Random(salt)
         for i in range(20):
             t = Const(f"zz{rng.randint(0, 10 ** 6)}_{i}")
@@ -566,6 +568,10 @@ class TestScaledEvaluation:
     )
     @example(({"P(a)": F(1, 3), "P(f(a))": F(1, 4)}, (F(0), F(0))), "Ex x (P(x))", 64)
     @example(({"P(a)": F(1, 2)}, (F(0), F(0))), "Ex x (Q(x) -> T(l))", 3)
+    # vacuous binders: a tail of 0, a positive tail, and a nested chain
+    @example(({"P(a)": F(1, 2)}, (F(0), F(0))), "Ex x (Q(b))", 64)
+    @example(({"Q(b)": F(1, 3)}, (F(0), F(0))), "Ex x (Q(b))", 64)
+    @example(({"P(a)": F(1, 2)}, (F(0), F(0))), "Ex y (Ex x (P(a)))", 64)
     @settings(max_examples=200, deadline=None)
     def test_stopping_early_matches_fraction_walker(self, valuation, text, budget):
         self.compare(TAME_LIAR_SIG, valuation, text, budget)
@@ -664,13 +670,13 @@ def ref_lemma1_sample(rng, combo, max_len, max_den):
 
     gammas, chis, deltas = [], [], []
     for _ in range(rng.randint(0, max_len)):
-        g = F(1) if rng.random() < 0.15 else sample_unit(rng, max_den)
-        c = sample_unit(rng, max_den)
+        g = F(1) if rng.random() < 0.15 else F(*draw_unit(rng, max_den))
+        c = F(*draw_unit(rng, max_den))
         low = delta_low(g, c)
         gammas.append(g)
         chis.append(c)
-        deltas.append(low + (1 - low) * sample_unit(rng, max_den))
-    g_tail = F(1) if rng.random() < 0.25 else sample_unit(rng, max_den)
+        deltas.append(low + (1 - low) * F(*draw_unit(rng, max_den)))
+    g_tail = F(1) if rng.random() < 0.25 else F(*draw_unit(rng, max_den))
     c_tail = F(0) if combo in (0, 1) else positive_unit()
     low = delta_low(g_tail, c_tail)
     if combo in (0, 2):
@@ -689,7 +695,7 @@ def ref_rule_sample(rule, rng, cfg):
     conclusion sound, payload)."""
 
     def unit():
-        return sample_unit(rng, cfg.max_denominator)
+        return F(*draw_unit(rng, cfg.max_denominator))
 
     def context():
         out = []

@@ -14,11 +14,12 @@ from mqlogic.semantics import (
     TailSeq,
     UngroundedError,
     Valuation,
+    _EvalState,
+    _relevant_terms,
     check_lemma1_instance,
     eval_antecedent,
     eval_formula,
     eval_succedent,
-    instance_values,
     lemma1_conclusion_finite_oracle,
     load_valuation,
     sequent_sound,
@@ -36,6 +37,7 @@ from mqlogic.syntax import (
     parse_formula,
     render_formula,
     render_term,
+    substitute,
 )
 
 
@@ -45,6 +47,17 @@ def psig():
     s.add_predicate("P", 1)
     s.add_constant("a")
     return s
+
+
+def instance_family(v, body, x="x"):
+    """The relevant terms of ``Ex x body``, each with the value of its
+    instance, and the value of an instance at a term that is not relevant."""
+
+    def value(t):
+        return eval_formula(v, substitute(body, x, t))
+
+    terms = _relevant_terms(_EvalState(v), body, {})
+    return [(t, value(t)) for t in terms], value(Const("fresh"))
 
 
 class TestExtendedSum:
@@ -134,19 +147,19 @@ class TestQuantifier:
         sig = liar_signature()
         tl = Atom("T", (Const("l"),))
         v = Valuation(sig, atom_values={tl: F(1, 3)})
-        explicit, tail = instance_values(v, tl, "x")
+        explicit, tail = instance_family(v, tl)
         assert tail == F(1, 3)
         assert all(val == F(1, 3) for _, val in explicit)
 
     def test_instance_values_split(self, psig):
         v = Valuation(psig, atom_values={Atom("P", (Const("a"),)): F(1)})
-        explicit, tail = instance_values(v, Atom("P", (Var("x"),)), "x")
+        explicit, tail = instance_family(v, Atom("P", (Var("x"),)))
         assert (Const("a"), F(1)) in explicit
         assert tail == 0
 
     def test_instance_values_uniform_default(self, psig):
         v = Valuation(psig, predicate_defaults={"P": F(1, 2)})
-        explicit, tail = instance_values(v, Atom("P", (Var("x"),)), "x")
+        explicit, tail = instance_family(v, Atom("P", (Var("x"),)))
         assert tail == F(1, 2)
         assert all(val == F(1, 2) for _, val in explicit)
 
@@ -168,7 +181,7 @@ class TestQuantifier:
             predicate_defaults={"P": F(1, 4)},
         )
         body = parse_formula("P(g(f(x))) -> Q(g(f(f(f(b)))))", sig)
-        explicit, tail = instance_values(v, body, "x")
+        explicit, tail = instance_family(v, body)
         assert [(render_term(t), value) for t, value in explicit] == [
             ("a", F(1, 2)),
             ("b", F(3, 4)),
@@ -177,18 +190,6 @@ class TestQuantifier:
             ("g(f(f(f(b))))", F(3, 4)),
         ]
         assert tail == F(3, 4)
-
-    def test_open_nested_body_message(self, psig):
-        psig.add_predicate("Q", 1)
-        body = Exists(
-            "y", Cond(Atom("P", (Var("x"),)), Exists("x", Atom("Q", (Var("z"),))))
-        )
-        with pytest.raises(OpenFormulaError) as e:
-            instance_values(Valuation(psig), body, "x")
-        assert str(e.value) == (
-            "instance family needs at most one free variable: "
-            "Ex y (P(x) -> Ex x Q(z))"
-        )
 
     @pytest.mark.parametrize(
         "atoms, values",
@@ -237,7 +238,8 @@ class TestQuantifier:
 
 
 class TestSumStopsEarly:
-    """A sum-mode existential stops walking once its value is decided, and
+    """An existential walks its tail first and its explicit instances as
+    they are read, so a sum-mode one stops once its value is decided, and
     only where no skipped walk could raise or create a name: each case
     below gives what walking every instance gives."""
 
@@ -319,7 +321,7 @@ class TestSumStopsEarly:
             atom_values={parse_formula(a, psig): q for a, q in (("P(a)", F(1)), ("P(b)", F(0)))},
             predicate_defaults={"P": F(1, 2)},
         )
-        explicit, tail = instance_values(v, Atom("P", (Var("x"),)), "x")
+        explicit, tail = instance_family(v, Atom("P", (Var("x"),)))
         assert explicit == [(Const("a"), F(1)), (Const("b"), F(0))]
         assert tail == F(1, 2)
 
@@ -403,8 +405,8 @@ class TestTransparency:
                 unfold_budget=budget,
             )
 
-        explicit, _ = instance_values(valuation(6), f.body, "x")
-        assert [render_term(t) for t, _ in explicit] == ["a", "q1"]
+        terms = _relevant_terms(_EvalState(valuation(6)), f.body, {})
+        assert [render_term(t) for t in terms] == ["a", "q1"]
         assert eval_formula(valuation(6), f) == (F(2, 7) if mode == SUP else 1)
         with pytest.raises(UngroundedError) as e:
             eval_formula(valuation(5), f)
