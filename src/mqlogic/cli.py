@@ -3,10 +3,10 @@
 Subcommands: ``eval``, ``check-sequent``, ``check-derivation``, ``fuzz``,
 ``solve-selfref``, ``repro``.  Exit codes: 0 pass, 1 expectation mismatch
 (failed check, failed reproduction, unsound sequent), 2 usage or parse
-error, input nested past the recursion limit, or a standard output closed
-before the command finished (exits quietly), 3 semantic error
-(ungrounded self-reference, open formula).  The environment variable
-MQLOGIC_SEED overrides ``--seed``.
+error (a malformed valuation file included), input nested past the
+recursion limit, or a standard output closed before the command finished
+(exits quietly), 3 semantic error (ungrounded self-reference, open
+formula).  The environment variable MQLOGIC_SEED overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .semantics import (
     SUM,
     SUP,
     SemanticsError,
+    ValuationError,
     eval_antecedent,
     eval_formula,
     eval_succedent,
@@ -254,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except SyntaxError_ as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, OSError, ValueError, CheckError) as e:
+    except (json.JSONDecodeError, OSError, ValueError, CheckError, ValuationError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SemanticsError as e:

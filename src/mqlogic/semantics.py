@@ -23,6 +23,9 @@ returns 1 on a positive tail without collecting them, or stops once their
 sum reaches 1, and a sup-mode one reads them all.  It does so only where
 no skipped walk could raise or create a name (``_EvalState``), and walks
 every instance, explicit ones first, everywhere else.
+
+Normal forms are memoised by the signature alone; an evaluation caches
+only its atom values and the valuation's relevant terms.
 """
 
 from __future__ import annotations
@@ -72,6 +75,10 @@ class OpenFormulaError(SemanticsError):
 
 class UngroundedError(SemanticsError):
     """Transparent unfolding exhausted its budget: a liar-like cycle."""
+
+
+class ValuationError(SemanticsError):
+    """A malformed line in a valuation file: an input error."""
 
 
 def unit(q, one=ONE):
@@ -140,27 +147,21 @@ class Valuation:
 
 class _EvalState:
     """What one evaluation carries: the unfolding budget and caches that
-    die with it.
-
-    The caches are exact.  During one evaluation the rules can grow only
-    by ``code.*`` rules for names that ``name_of`` creates (through a
-    quote right-hand side), and their left sides are new constants that
-    no earlier term contains.  So a normal form or a render computed
-    earlier in the evaluation is what it would be if computed again now,
-    and skipping the repeat creates no name that the repeat would have
-    created.
+    die with it.  Normal forms come from the signature's memo.
 
     ``constants`` maps a closed atom to its value in the evaluation's
     algebra, for atoms that take a value from ``atom_values`` or a
-    predicate default.  That value depends only on the atom's key, made
-    of normal forms and so fixed as above, and on the valuation's maps,
-    which the evaluation does not change; nor can such an atom start to
-    unfold later, since a name created later is a constant that its key
-    does not contain.  The unknown is never stored, so it reaches
-    ``alg.unknown`` at every visit.  A truth atom that unfolds is never
-    stored either: every visit must spend one unit of the unfolding
-    budget and walk the named sentence, so that the budget runs out at
-    the same atom as without the memo.
+    predicate default.  That value depends only on the atom's key and on
+    the valuation's maps, which the evaluation does not change.  The key
+    is made of normal forms, which stay fixed: during one evaluation the
+    rules grow only by the code rules of names that ``name_of`` creates,
+    and their new constants occur in no earlier term (``Signature``).
+    Nor can such an atom start to unfold later, since a name created
+    later is a constant that its key does not contain.  The unknown is
+    never stored, so it reaches ``alg.unknown`` at every visit.  A truth
+    atom that unfolds is never stored either: every visit must spend one
+    unit of the unfolding budget and walk the named sentence, so that the
+    budget runs out at the same atom as without the memo.
 
     With ``stops_early`` set, an existential walks its tail first and its
     explicit instances only as ``exists_value`` reads them (see
@@ -185,16 +186,14 @@ class _EvalState:
       renders; that bound plus the sentence's depth must stay under a
       thirty-second of the recursion limit.
 
-    The caches above then fill with less, but they are exact memos.
+    ``constants`` then fills with less, but it stays an exact memo.
     """
 
     __slots__ = (
         "valuation",
         "stops_early",
         "unfolds_left",
-        "normal_forms",
         "constants",
-        "render_keys",
         "valuation_terms",
     )
 
@@ -202,28 +201,15 @@ class _EvalState:
         self.valuation = valuation
         self.stops_early = stops_early
         self.unfolds_left = valuation.unfold_budget
-        self.normal_forms: dict[Term, Term] = {}  # closed term -> normal form
         self.constants: dict[Atom, Any] = {}  # closed atom -> lifted value
-        self.render_keys: dict[Term, str] = {}
         # (normal forms seen, representatives) of the atom-map keys and the
         # unknown; computed at the first quantifier
         self.valuation_terms: Optional[tuple[set[Term], list[Term]]] = None
 
     def atom_key(self, atom: Atom) -> Formula:
         """``normalize_formula`` of a closed atom."""
-        return Atom(atom.pred, tuple(self.normal_form(t) for t in atom.args))
-
-    def normal_form(self, t: Term) -> Term:
-        nf = self.normal_forms.get(t)
-        if nf is None:
-            nf = self.normal_forms[t] = normalize_term(t, self.valuation.sig)
-        return nf
-
-    def render_key(self, t: Term) -> str:
-        key = self.render_keys.get(t)
-        if key is None:
-            key = self.render_keys[t] = render_term(t)
-        return key
+        sig = self.valuation.sig
+        return Atom(atom.pred, tuple(normalize_term(t, sig) for t in atom.args))
 
 
 def _bound_args(f: Formula, env: Env) -> Iterator[Term]:
@@ -246,13 +232,12 @@ def _visit(
 ) -> None:
     """Append each closed subterm of ``terms`` whose normal form is not
     yet in ``seen``: the first-seen representative of each normal form."""
+    sig = state.valuation.sig
     for t in terms:
         for sub in subterms(t):
-            nf = state.normal_forms.get(sub)  # only closed terms are cached
-            if nf is None:
-                if not term_is_closed(sub):
-                    continue
-                nf = state.normal_form(sub)
+            if not term_is_closed(sub):
+                continue
+            nf = normalize_term(sub, sig)
             if nf not in seen:
                 seen.add(nf)
                 out.append(sub)
@@ -274,7 +259,7 @@ def _relevant_terms(state: _EvalState, body: Formula, env: Env) -> list[Term]:
     seen, out = state.valuation_terms
     seen, out = set(seen), list(out)
     _visit(state, _bound_args(body, env), seen, out)
-    out.sort(key=state.render_key)
+    out.sort(key=render_term)
     return out
 
 
@@ -384,12 +369,11 @@ def _instances(
     instances only as they are read."""
     env = _without(env, var)
     vacuous = var not in free_vars(body)
-    if state.stops_early:
-        tail = _walk(alg, state, body, {**env, var: _TAIL_CONST})
-        # a vacuous binder: every instance is the tail
-        return (() if vacuous else _explicit_values(alg, state, body, var, env)), tail
-    if not vacuous:
-        explicit = list(_explicit_values(alg, state, body, var, env))
+    if state.stops_early or not vacuous:
+        # under stops_early a vacuous binder's every instance is the tail
+        explicit = () if vacuous else _explicit_values(alg, state, body, var, env)
+        if not state.stops_early:
+            explicit = list(explicit)
         return explicit, _walk(alg, state, body, {**env, var: _TAIL_CONST})
     # A vacuous binder: every instance is the same walk.  Walk once and
     # charge what the other walks would spend; if the budget cannot cover
@@ -655,7 +639,7 @@ def load_valuation(text: str, sig: Optional[Signature] = None) -> Valuation:
             else:
                 raise ValueError(f"unknown directive '{head}'")
         except (ValueError, ZeroDivisionError) as e:
-            raise SemanticsError(f"valuation line {lineno}: {e}") from e
+            raise ValuationError(f"valuation line {lineno}: {e}") from e
     return Valuation(
         sig,
         mode=mode,

@@ -317,9 +317,13 @@ class Signature:
     receives a numeral code and a rewrite rule mapping the constant to its
     code, so that closed terms normalise to numeral form.
 
-    The rule index, the normal-form memo and the constant weight are
-    derived from the rule set and the successor symbol; ``_rules_changed``
-    drops them whenever either changes.
+    The rule index and the constant weight are derived from the rule set
+    and the successor symbol; ``_rules_changed`` drops them whenever
+    either changes.  It drops the normal-form memo too, the package's one
+    cache of normal forms, unless the new rule's left side is a constant
+    that is no memo key, such as a new name's code rule.  Such a rule
+    changes no entry: it can change only a run that visits the constant,
+    and ``_normalize_in`` memoises every term it visits.
     """
 
     def __init__(self) -> None:
@@ -487,7 +491,7 @@ class Signature:
     @property
     def rewrites(self) -> tuple[RewriteRule, ...]:
         """The rewrite rules in the order they are tried; add rules with
-        ``add_rewrite`` so that the index and the memo are dropped."""
+        ``add_rewrite`` so that the derived caches are dropped."""
         return self._rewrites
 
     def add_rewrite(self, lhs: Term, rhs: Term, label: str = "") -> None:
@@ -497,13 +501,14 @@ class Signature:
 
     def _add_rule(self, rule: RewriteRule) -> None:
         self._rewrites += (rule,)
-        self._rules_changed()
+        keeps_memo = isinstance(rule.lhs, Const) and rule.lhs not in self._normal_forms
+        self._rules_changed(keeps_memo)
 
-    def _rules_changed(self) -> None:
+    def _rules_changed(self, keeps_memo: bool = False) -> None:
         self._rule_index = None
-        self._normal_forms = {}
         self._const_weight = None
-
+        if not keeps_memo:
+            self._normal_forms = {}
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +741,8 @@ def _normalize_in(sig: Signature, t: Term, budget: _Budget) -> Term:
 
     A memo hit charges the steps the cached run spent, so the budget runs
     out exactly when it would have without the memo.  The entry goes into
-    the memo that was current when ``t`` was first looked up: if the rules
-    changed meanwhile, that memo has been dropped and the entry with it.
+    the memo that was current when ``t`` was first looked up: if a rule
+    change dropped that memo meanwhile, the entry goes with it.
     """
     memo = sig._normal_forms
     hit = memo.get(t)
@@ -758,15 +763,19 @@ def _normalize_in(sig: Signature, t: Term, budget: _Budget) -> Term:
     return nf
 
 
-def normalize_term(t: Term, sig: Signature, budget: Optional[int] = None) -> Term:
+def normalize_term(t: Term, sig: Signature) -> Term:
     """The unique normal form of a closed term under the coding equations.
 
     Rewrites innermost-leftmost; idempotent.  Raises StepBudgetError when
-    the step budget is exhausted, which signals a non-terminating rule set.
+    a run needs more than ``sig.max_rewrite_steps`` steps, which signals a
+    non-terminating rule set.  Memo hits, all closed, are answered first.
     """
+    hit = sig._normal_forms.get(t)
+    if hit is not None and hit[1] <= sig.max_rewrite_steps:
+        return hit[0]
     if not term_is_closed(t):
         raise ValueError("normalize_term requires a closed term")
-    return _normalize_in(sig, t, _Budget(budget or sig.max_rewrite_steps))
+    return _normalize_in(sig, t, _Budget(sig.max_rewrite_steps))
 
 
 def normalize_formula(f: Formula, sig: Signature) -> Formula:

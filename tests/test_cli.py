@@ -94,6 +94,17 @@ class TestEval:
         code = main(["eval", "-v", str(v), "--sig", liar_sig, "-f", "T(l)"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "line",
+        ["mode foo", "atom P(a) = 1/0", "atom P(a) = x", "limit 3"],
+        ids=["mode", "zero-denominator", "not-a-number", "unknown-directive"],
+    )
+    def test_malformed_valuation_exit_2(self, capsys, tmp_path, line):
+        v = tmp_path / "bad.val"
+        v.write_text(f"default P = 1/2\n{line}\n")
+        assert main(["eval", "-v", str(v), "-f", "P(a)"]) == 2
+        assert "valuation line 2:" in capsys.readouterr().err
+
 
 class TestCheckSequent:
     def test_sound(self, capsys, half_val):

@@ -163,6 +163,7 @@ class TestSyntaxProperties:
 
     def test_confluence_on_coding_terms(self):
         sig = truth_coding_signature()
+        sig.max_rewrite_steps = 100_000
         rng = random.Random(2024)
 
         def random_term(depth):
@@ -176,14 +177,17 @@ class TestSyntaxProperties:
 
         for _ in range(1000):
             t = random_term(3)
-            inner = normalize_term(t, sig, budget=100_000)
-            outer = normalize_term_outermost(t, sig, budget=100_000)
+            inner = normalize_term(t, sig)
+            outer = normalize_term_outermost(t, sig)
             assert inner == outer, t
+        assert_memo_matches_cold_runs(sig)
 
     def test_confluence_with_many_coding_rules(self):
         # prop1_derivation(8) names the iterated truth atoms, so every
         # name constant has its own code.* rule in the constant buckets
         sig = prop1_derivation(8).sig
+        assert_memo_matches_cold_runs(sig)
+        sig.max_rewrite_steps = 100_000
         names = [Const(c) for c in sig.naming_scheme]
         assert len(names) > 8
         rng = random.Random(2025)
@@ -199,10 +203,22 @@ class TestSyntaxProperties:
 
         for _ in range(500):
             t = random_term(3)
-            cold = normalize_term(t, sig, budget=100_000)
-            warm = normalize_term(t, sig, budget=100_000)
-            outer = normalize_term_outermost(t, sig, budget=100_000)
+            cold = normalize_term(t, sig)
+            warm = normalize_term(t, sig)
+            outer = normalize_term_outermost(t, sig)
             assert cold == warm == outer, t
+        assert_memo_matches_cold_runs(sig)
+
+
+def assert_memo_matches_cold_runs(sig):
+    """Every normal-form memo entry, normal form and steps, is what
+    normalising its term again with the memo cleared gives."""
+    entries = dict(sig._normal_forms)
+    assert entries
+    for t, entry in entries.items():
+        sig._normal_forms = {}
+        normalize_term(t, sig)
+        assert sig._normal_forms[t] == entry, t
 
 
 # -- multiset properties ----------------------------------------------------
@@ -489,7 +505,7 @@ TAME_LIAR_SIG = LIAR_SIG.replace("rewrite h(x) => quote(P(x))\n", "")
 def ref_fraction_value(v: Valuation, f) -> F:
     """The walker as it ran on Fractions: every instance of a binder is
     walked, vacuous or not, and every atom visit resolves its value.  It
-    shares the library's relevant terms and normal-form cache."""
+    shares the library's relevant terms and atom keys."""
     state = _EvalState(v)
 
     def walk(g, env):

@@ -246,21 +246,23 @@ class TestRewriting:
 
     def test_step_budget(self):
         s = truth_coding_signature()
+        s.max_rewrite_steps = 10
         with pytest.raises(StepBudgetError):
-            normalize_term(App("fm", (Numeral(50), Const("mu"))), s, budget=10)
+            normalize_term(App("fm", (Numeral(50), Const("mu"))), s)
 
     def test_step_budget_with_warm_memo(self):
         s = truth_coding_signature()
         t = App("fm", (Numeral(50), Const("mu")))
-        # the first run names the coding atoms, which drops the memo
+        # the first run names the coding atoms; their code rules keep the memo
         normalize_term(t, s)
         normalize_term(t, s)
         assert t in s._normal_forms
+        s.max_rewrite_steps = 10
         with pytest.raises(StepBudgetError):
-            normalize_term(t, s, budget=10)
+            normalize_term(t, s)
 
     def test_step_budget_is_exact_cold_and_warm(self):
-        def countdown():
+        def countdown(steps):
             s = Signature()
             s.add_arithmetic("0", "s")
             s.add_function("fm", 2)
@@ -269,29 +271,49 @@ class TestRewriting:
                 App("fm", (App("s", (Var("n"),)), Var("y"))),
                 App("fm", (Var("n"), Var("y"))),
             )
+            s.max_rewrite_steps = steps
             return s
 
         # fm(k, 7) takes k successor steps and one zero step
         t = App("fm", (Numeral(5), Numeral(7)))
         steps = 6
-        assert normalize_term(t, countdown(), budget=steps) == Numeral(7)
+        assert normalize_term(t, countdown(steps)) == Numeral(7)
         with pytest.raises(StepBudgetError):
-            normalize_term(t, countdown(), budget=steps - 1)
-        warm = countdown()
+            normalize_term(t, countdown(steps - 1))
+        warm = countdown(steps)
         normalize_term(t, warm)
         assert t in warm._normal_forms
         for _ in range(2):
+            warm.max_rewrite_steps = steps - 1
             with pytest.raises(StepBudgetError):
-                normalize_term(t, warm, budget=steps - 1)
-            assert normalize_term(t, warm, budget=steps) == Numeral(7)
+                normalize_term(t, warm)
+            warm.max_rewrite_steps = steps
+            assert normalize_term(t, warm) == Numeral(7)
+
+    def test_created_names_keep_normal_forms(self):
+        # fm(3, mu) names the truth atoms it builds, and each new name's
+        # code rule leaves the memo in place
+        s = truth_coding_signature()
+        t = App("fm", (Numeral(3), Const("mu")))
+        rules_before = len(s.rewrites)
+        nf = normalize_term(t, s)
+        assert len(s.rewrites) > rules_before
+        assert s._normal_forms[t][0] == nf
 
     def test_declared_name_invalidates_normal_forms(self):
         s = Signature()
         s.add_arithmetic("0", "s")
+        s.add_function("f", 1)
         s.add_constant("c")
+        s.add_constant("d")
         assert normalize_term(Const("c"), s) == Const("c")
         s.declare_name("c", Atom("T", (Const("c"),)))
         assert normalize_term(Const("c"), s) == Numeral(0)
+        # d occurs only inside the memoised f(d)
+        inside = App("f", (Const("d"),))
+        assert normalize_term(inside, s) == inside
+        s.declare_name("d", Atom("T", (Const("d"),)))
+        assert normalize_term(inside, s) == App("f", (Numeral(1),))
 
     def test_added_rule_invalidates_normal_forms(self):
         s = Signature()
