@@ -53,33 +53,26 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_env(args) -> tuple:
-    """(signature or None, valuation or None) from --sig/--valuation."""
-    sig = load_signature(_read(args.sig)) if getattr(args, "sig", None) else None
-    valuation = None
-    if getattr(args, "valuation", None):
-        valuation = load_valuation(_read(args.valuation), sig)
-        sig = valuation.sig
-    return sig, valuation
+def _load_valuation(args) -> tuple:
+    """(valuation, lenient): the -v valuation, loaded over the --sig
+    signature when one is given; without one, symbols are inferred from
+    use (lenient parsing)."""
+    lenient = args.sig is None
+    sig = None if lenient else load_signature(_read(args.sig))
+    return load_valuation(_read(args.valuation), sig), lenient
 
 
 def _cmd_eval(args) -> int:
-    sig, valuation = _load_env(args)
-    if valuation is None:
-        print("eval needs a valuation file (-v)", file=sys.stderr)
-        return EXIT_USAGE
-    formula = parse_formula(args.formula, valuation.sig, lenient=args.sig is None)
+    valuation, lenient = _load_valuation(args)
+    formula = parse_formula(args.formula, valuation.sig, lenient=lenient)
     value = eval_formula(valuation, formula)
     print(json.dumps(value_to_json(value)))
     return EXIT_PASS
 
 
 def _cmd_check_sequent(args) -> int:
-    sig, valuation = _load_env(args)
-    if valuation is None:
-        print("check-sequent needs a valuation file (-v)", file=sys.stderr)
-        return EXIT_USAGE
-    seq = parse_sequent(args.sequent, valuation.sig, lenient=args.sig is None)
+    valuation, lenient = _load_valuation(args)
+    seq = parse_sequent(args.sequent, valuation.sig, lenient=lenient)
     ant = eval_antecedent(valuation, seq.ant)
     suc = eval_succedent(valuation, seq.suc)
     sound = ant <= suc
@@ -92,9 +85,6 @@ def _cmd_check_sequent(args) -> int:
 
 
 def _cmd_check_derivation(args) -> int:
-    if not args.sig:
-        print("check-derivation needs a signature file (--sig)", file=sys.stderr)
-        return EXIT_USAGE
     sig = load_signature(_read(args.sig))
     data = json.loads(_read(args.derivation))
     derivation = derivation_from_json(data, sig)
@@ -129,14 +119,11 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_solve_selfref(args) -> int:
-    sig, valuation = _load_env(args)
-    if valuation is None:
-        print("solve-selfref needs a valuation file (-v)", file=sys.stderr)
-        return EXIT_USAGE
+    valuation, lenient = _load_valuation(args)
     if valuation.unknown is None:
         print("the valuation must designate an unknown atom", file=sys.stderr)
         return EXIT_USAGE
-    formula = parse_formula(args.formula, valuation.sig, lenient=args.sig is None)
+    formula = parse_formula(args.formula, valuation.sig, lenient=lenient)
     profile = eval_parametric(valuation, formula)
     solutions = fixed_points(profile)
     out = piecewise_to_json(profile)

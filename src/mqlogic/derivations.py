@@ -29,7 +29,6 @@ from .syntax import (
     Numeral,
     Quote,
     Signature,
-    SignatureError,
     Term,
     Var,
 )
@@ -39,7 +38,6 @@ from .syntax import (
 class BuiltinDerivation:
     sig: Signature
     derivation: Derivation
-    final: Sequent
     witnesses: tuple[Sequent, ...] = ()
 
 
@@ -88,7 +86,7 @@ def prop3_derivation() -> BuiltinDerivation:
         mk(sig, ant=[(ex_tl, 1)]), "ExistsLw", family=fam2, principal=ex_tl
     )
     n9 = Derivation(mk(sig, suc=[(nex_tl, 1)]), "NegR", (n8,), principal=nex_tl)
-    return BuiltinDerivation(sig, n9, n9.conclusion)
+    return BuiltinDerivation(sig, n9)
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +116,7 @@ def truth_coding_signature() -> Signature:
     return sig
 
 
-def _require_coding(sig: Signature) -> None:
-    def has(label: str) -> bool:
-        return any(r.label == label for r in sig.rewrites)
-
-    for label in ("fm.zero", "fm.succ", "tdot.name"):
-        if not has(label):
-            raise SignatureError(f"missing coding equation '{label}'")
-    if "mu" not in sig.naming_scheme:
-        raise SignatureError("missing self-referential name 'mu'")
-    if not sig.has_arithmetic:
-        raise SignatureError("missing arithmetic (numerals)")
-
-
-def prop1_derivation(k: int = 8, sig: Signature | None = None) -> BuiltinDerivation:
+def prop1_derivation(k: int = 8) -> BuiltinDerivation:
     """The derivation tree ending in ``|- ~Ex x T(fm(x, mu))``.
 
     The left-quantifier premise family is uniform in the numeral index
@@ -141,9 +126,7 @@ def prop1_derivation(k: int = 8, sig: Signature | None = None) -> BuiltinDerivat
     truth-elimination rule to the previous one.  ``k`` only sizes the
     witness list exposed for inspection.
     """
-    if sig is None:
-        sig = truth_coding_signature()
-    _require_coding(sig)
+    sig = truth_coding_signature()
     mu = Const("mu")
 
     def fm(t: Term) -> Atom:
@@ -207,4 +190,4 @@ def prop1_derivation(k: int = 8, sig: Signature | None = None) -> BuiltinDerivat
     witnesses = tuple(
         mk(sig, ant=[(fm(Numeral(i)), 1)]) for i in range(k + 1)
     )
-    return BuiltinDerivation(sig, e8, e8.conclusion, witnesses)
+    return BuiltinDerivation(sig, e8, witnesses)

@@ -53,16 +53,6 @@ from .semantics import (
 )
 from .syntax import App, Atom, Const, Exists, Neg, Signature, Var
 
-EXPERIMENT_IDS = (
-    "thm1",
-    "lemma1",
-    "thm2-fuzz",
-    "prop1",
-    "prop2",
-    "prop3",
-    "vacuous-compare",
-)
-
 
 @dataclass
 class ExperimentResult:
@@ -86,19 +76,13 @@ class ExperimentResult:
         }
 
 
-def _finish(exp_id: str, ok: bool, evidence: dict, seed: int, t0: float) -> ExperimentResult:
-    ms = int((time.monotonic() - t0) * 1000)
-    return ExperimentResult(exp_id, "pass" if ok else "fail", evidence, seed, ms)
-
-
 # ---------------------------------------------------------------------------
 
 
-def repro_thm1(seed: int = 0, samples: int = 10_000) -> ExperimentResult:
+def repro_thm1(seed: int = 0, samples: int = 10_000) -> tuple[bool, dict]:
     """The right-quantifier rule breaks under the sup clause: with empty
     contexts and every instance at 1/2, the premise is sound but the
     conclusion is not; random search must also find some violation."""
-    t0 = time.monotonic()
     half = Fraction(1, 2)
     prem_sound, concl_sound = existsr_value_instance([], [], [], half, SUP)
     canned = prem_sound and not concl_sound
@@ -137,7 +121,7 @@ def repro_thm1(seed: int = 0, samples: int = 10_000) -> ExperimentResult:
         "quantifierValues": {"sup": str(sup_value), "sum": str(sum_value)},
         "randomSearch": search.to_json(),
     }
-    return _finish("thm1", ok, evidence, seed, t0)
+    return ok, evidence
 
 
 # ---------------------------------------------------------------------------
@@ -175,26 +159,17 @@ def _lemma1_sample(
     return tuple(TailSeq(tuple(vs[:-1]), vs[-1], one) for vs in (gs, cs, ds))
 
 
-def repro_lemma1(
-    seed: int = 0,
-    samples: int = 10_000,
-    max_len: int = 50,
-    max_den: int = 60,
-) -> ExperimentResult:
+def repro_lemma1(seed: int = 0, samples: int = 10_000) -> tuple[bool, dict]:
     """Sampled instances of the series inequality: whenever the
     index-wise hypothesis holds, the conclusion inequality holds; the
     naive finite-sum oracle agrees on every convergent sample."""
-    for name, value, least in (("max_len", max_len, 0), ("max_den", max_den, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}")
-    t0 = time.monotonic()
     rng = random.Random(seed)
     combos = [0, 0, 0, 0]
     convergent = 0
     failures: list[dict] = []
     for i in range(samples):
         combo = i % 4
-        gamma, chi, delta = _lemma1_sample(rng, combo, max_len, max_den)
+        gamma, chi, delta = _lemma1_sample(rng, combo, max_len=50, max_den=60)
         result = check_lemma1_instance(gamma, chi, delta)
         if not result.hypothesis_all:
             failures.append({"index": i, "kind": "sampler produced bad hypothesis"})
@@ -226,16 +201,15 @@ def repro_lemma1(
         "convergentOracleChecks": convergent,
         "failures": failures[:5],
     }
-    return _finish("lemma1", ok, evidence, seed, t0)
+    return ok, evidence
 
 
 # ---------------------------------------------------------------------------
 
 
-def repro_thm2_fuzz(seed: int = 0, samples: int = 10_000) -> ExperimentResult:
+def repro_thm2_fuzz(seed: int = 0, samples: int = 10_000) -> tuple[bool, dict]:
     """All seven core rules: sum-mode fuzzing finds no soundness
     violation."""
-    t0 = time.monotonic()
     per_rule = {}
     ok = True
     for i, rule in enumerate(RULE_CHOICES):
@@ -246,16 +220,15 @@ def repro_thm2_fuzz(seed: int = 0, samples: int = 10_000) -> ExperimentResult:
         if outcome.found_violation:
             ok = False
     evidence = {"samplesPerRule": samples, "rules": per_rule}
-    return _finish("thm2-fuzz", ok, evidence, seed, t0)
+    return ok, evidence
 
 
 # ---------------------------------------------------------------------------
 
 
-def repro_prop1(seed: int = 0, depth: int = 8) -> ExperimentResult:
+def repro_prop1(seed: int = 0, depth: int = 8) -> tuple[bool, dict]:
     """Build and check the iterated-truth-coding derivation; certify the
     per-numeral refutations and the final sequent."""
-    t0 = time.monotonic()
     built = prop1_derivation(k=depth)
     report = check_derivation(built.derivation, built.sig, MULTIPLICATIVE, depth)
     checked = set(report.checked_sequents())
@@ -270,23 +243,22 @@ def repro_prop1(seed: int = 0, depth: int = 8) -> ExperimentResult:
     ok = report.ok and all(witnesses_certified) and final_ok
     evidence = {
         "checkerOk": report.ok,
-        "finalSequent": built.final.render(),
+        "finalSequent": built.derivation.conclusion.render(),
         "finalMatches": final_ok,
         "witnesses": [w.render() for w in built.witnesses],
         "witnessesCertified": witnesses_certified,
         "nodesChecked": len(report.per_node),
         "familySpotChecks": len(report.family_spot_checks),
     }
-    return _finish("prop1", ok, evidence, seed, t0)
+    return ok, evidence
 
 
 # ---------------------------------------------------------------------------
 
 
-def repro_prop2(seed: int = 0) -> ExperimentResult:
+def repro_prop2(seed: int = 0) -> tuple[bool, dict]:
     """Parametric profile of the negated vacuous existential over its own
     truth value: 1 at zero, 0 elsewhere, and no fixed point."""
-    t0 = time.monotonic()
     sig = liar_signature()
     tl = Atom("T", (Const("l"),))
     sentence = Neg(Exists("x", tl))
@@ -307,7 +279,7 @@ def repro_prop2(seed: int = 0) -> ExperimentResult:
             "intervals": [str(iv) for iv in solutions.intervals],
         },
     }
-    return _finish("prop2", ok, evidence, seed, t0)
+    return ok, evidence
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +306,11 @@ def _vacuous_left_instance(policy: str) -> bool:
     return check_instance(sig, "ExistsLw", [prem], concl, policy).ok
 
 
-def repro_prop3(seed: int = 0, depth: int = 4) -> ExperimentResult:
+def repro_prop3(seed: int = 0, depth: int = 4) -> tuple[bool, dict]:
     """The omega-copies refutation checks under the multiplicative policy
     with the expected final sequent, fails under the additive policy at
     the right-quantifier node, and the additive single-instance left rule
     checks on its own."""
-    t0 = time.monotonic()
     built, rep_mult, rep_add, add_fail_rule = _prop3_policy_runs(depth)
     sig = built.sig
     expected_final = Sequent.make(
@@ -356,22 +327,21 @@ def repro_prop3(seed: int = 0, depth: int = 4) -> ExperimentResult:
     )
     evidence = {
         "multiplicativeOk": rep_mult.ok,
-        "finalSequent": built.final.render(),
+        "finalSequent": built.derivation.conclusion.render(),
         "finalMatches": final_ok,
         "additiveOk": rep_add.ok,
         "additiveFailsAt": add_fail_rule,
         "additiveSingleInstanceLeftRule": add_instance,
     }
-    return _finish("prop3", ok, evidence, seed, t0)
+    return ok, evidence
 
 
 # ---------------------------------------------------------------------------
 
 
-def repro_vacuous_compare(seed: int = 0, depth: int = 4) -> ExperimentResult:
+def repro_vacuous_compare(seed: int = 0, depth: int = 4) -> tuple[bool, dict]:
     """Side-by-side comparison of the two vacuous-quantification policies
     on the omega-copies derivation and on the one-step instances."""
-    t0 = time.monotonic()
     built, rep_mult, rep_add, add_fail_rule = _prop3_policy_runs(depth)
     sig = liar_signature()
     tl = Atom("T", (Const("l"),))
@@ -417,7 +387,7 @@ def repro_vacuous_compare(seed: int = 0, depth: int = 4) -> ExperimentResult:
         "rightRuleInstances": right_matrix,
         "leftRuleSingleInstance": left_instance,
     }
-    return _finish("vacuous-compare", ok, evidence, seed, t0)
+    return ok, evidence
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +402,8 @@ _RUNNERS = {  # id -> (runner, the size argument it takes)
     "prop3": (repro_prop3, "depth"),
     "vacuous-compare": (repro_vacuous_compare, "depth"),
 }
+# run_repro.py and the golden evidence files list the experiments in this order
+EXPERIMENT_IDS = tuple(_RUNNERS)
 
 
 def run_experiment(
@@ -453,4 +425,7 @@ def run_experiment(
         )
     run, size_arg = _RUNNERS[exp_id]
     size = sizes.get(size_arg)
-    return run(seed) if size is None else run(seed, size)
+    t0 = time.monotonic()
+    ok, evidence = run(seed) if size is None else run(seed, size)
+    ms = int((time.monotonic() - t0) * 1000)
+    return ExperimentResult(exp_id, "pass" if ok else "fail", evidence, seed, ms)

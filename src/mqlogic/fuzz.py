@@ -298,9 +298,7 @@ def _sample_existsl(rng, cfg) -> tuple[bool, bool, Callable[[], dict]]:
     gamma, chi, delta = (
         TailSeq(tuple(vs[:-1]), vs[-1], one) for vs in sound_premise_values(rows, one)
     )
-    prem = check_lemma1_instance(gamma, chi, delta).hypothesis_all
-    v_ex = exists_value(list(chi.explicit), chi.tail, cfg.mode, one)
-    concl = value_sequent_sound(gamma.entries() + [(v_ex, 1)], delta.entries(), one)
+    check = check_lemma1_instance(gamma, chi, delta, cfg.mode)
 
     def payload() -> dict:
         return {
@@ -309,7 +307,7 @@ def _sample_existsl(rng, cfg) -> tuple[bool, bool, Callable[[], dict]]:
             for key, seq in (("gamma", gamma), ("chi", chi), ("delta", delta))
         }
 
-    return prem, concl, payload
+    return check.hypothesis_all, check.conclusion_holds, payload
 
 
 _SAMPLERS = {

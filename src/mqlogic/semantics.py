@@ -564,15 +564,18 @@ class SeriesCheck:
         return all(self.hypothesis_explicit) and self.hypothesis_tail
 
 
-def check_lemma1_instance(gamma: TailSeq, chi: TailSeq, delta: TailSeq) -> SeriesCheck:
+def check_lemma1_instance(
+    gamma: TailSeq, chi: TailSeq, delta: TailSeq, mode: str = SUM
+) -> SeriesCheck:
     """Check one instance of the series inequality used by the omega-premise
     left rule.
 
     Hypothesis at index i: 1 - min(1, (1-g_i) + (1-c_i)) <= d_i.
     Conclusion: 1 - min(1, sum(1-g_i) + (1 - min(1, sum c_i))) <= min(1, sum d_i),
     with the three series evaluated exactly: the soundness of the sequent
-    gamma, Ex chi |- delta under the sum clause.  The three sequences must
-    share one unit.
+    gamma, Ex chi |- delta under the ``mode`` quantifier clause (sum c_i
+    is sup c_i under the sup clause).  The three sequences must share one
+    unit.
     """
     one = gamma.one
     if chi.one != one or delta.one != one:
@@ -583,7 +586,7 @@ def check_lemma1_instance(gamma: TailSeq, chi: TailSeq, delta: TailSeq) -> Serie
         for g, c, d in zip(gamma.prefix(n), chi.prefix(n), delta.prefix(n))
     )
     hyp_tail = hypothesis_bound(gamma.tail, chi.tail, one) <= delta.tail
-    ex_chi = exists_value(list(chi.explicit), chi.tail, SUM, one)
+    ex_chi = exists_value(list(chi.explicit), chi.tail, mode, one)
     lhs = one - side_sum(gamma.entries() + [(ex_chi, 1)], True, one)
     rhs = side_sum(delta.entries(), one=one)
     return SeriesCheck(hyp, hyp_tail, lhs <= rhs, lhs, rhs)
@@ -621,13 +624,13 @@ def load_valuation(text: str, sig: Optional[Signature] = None) -> Valuation:
                 mode = rest
             elif head == "default":
                 pred, _, value = rest.partition("=")
-                defaults[pred.strip()] = Fraction(value.strip())
+                defaults[pred.strip()] = unit(Fraction(value.strip()))
             elif head == "atom":
                 atom_text, _, value = rest.partition("=")
                 atom = parse_formula(atom_text.strip(), sig, lenient=lenient)
                 if not isinstance(atom, Atom):
                     raise ValueError("atom lines take a single atom")
-                atom_values[atom] = Fraction(value.strip())
+                atom_values[atom] = unit(Fraction(value.strip()))
             elif head == "transparent":
                 if rest not in ("on", "off"):
                     raise ValueError("transparent takes on|off")

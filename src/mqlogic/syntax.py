@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 
@@ -428,9 +429,12 @@ class Signature:
             raise SignatureError(f"constant '{const}' already names a formula")
         if free_vars(formula):
             raise SignatureError("only sentences can be named")
+        # the key holds the new code when the sentence mentions ``const``
+        n_codes, n_rules = len(self._name_code), len(self._rewrites)
         self._assign_code(const)
         key = normalize_formula(formula, self)
         if key in self._name_of_formula:
+            self._drop_codes(n_codes, n_rules)
             raise SignatureError(
                 f"formula already named by '{self._name_of_formula[key]}'"
             )
@@ -438,8 +442,22 @@ class Signature:
         self._name_of_formula[key] = const
         return Const(const)
 
+    def _drop_codes(self, n_codes: int, n_rules: int) -> None:
+        """Forget the codes and rules added since there were ``n_codes``
+        and ``n_rules`` of them, with the names created on the way, so
+        that a rejected declaration leaves no code, rule or name behind."""
+        for name in list(self._name_code)[n_codes:]:
+            del self._code_name[self._name_code.pop(name)]
+            key = self._named_formula.pop(name, None)
+            if key is not None:  # created by name_of while normalising
+                del self._name_of_formula[key]
+                self.constants.remove(name)
+                self._symbols.remove(name)
+        self._rewrites = self._rewrites[:n_rules]
+        self._rules_changed()
+
     def _assign_code(self, const: str) -> None:
-        if not self.has_arithmetic or const in self._name_code:
+        if not self.has_arithmetic:
             return
         code = len(self._name_code)
         self._name_code[const] = code
@@ -846,46 +864,24 @@ def enumerate_closed_terms(sig: Signature, n: int) -> list[Term]:
         raise SignatureError("no constants: the language has no closed terms")
     if n == 0:
         return []
-    level: list[Term] = [
+    all_terms: list[Term] = [
         Numeral(0) if c == sig.zero else Const(c) for c in sig.constants
     ]
-    by_depth: dict[int, list[Term]] = {1: list(level)}
-    all_terms: list[Term] = list(level)
     depth = 1
     while len(all_terms) < n:
-        depth += 1
-        fresh: list[Term] = []
-        for fn, arity in sig.functions:
-            for combo in _arg_combos(by_depth, depth - 1, arity):
-                fresh.append(_canon(sig, App(fn, combo)))
+        # the argument tuples with at least one argument at the last depth
+        fresh: list[Term] = [
+            _canon(sig, App(fn, args))
+            for fn, arity in sig.functions
+            for args in product(all_terms, repeat=arity)
+            if any(term_depth(a) == depth for a in args)
+        ]
         if not fresh:
             break  # finite language
+        depth += 1
         fresh.sort(key=lambda t: _term_sort_key(sig, t))
-        by_depth[depth] = fresh
         all_terms.extend(fresh)
     return all_terms[:n]
-
-
-def _arg_combos(
-    by_depth: dict[int, list[Term]], max_depth: int, arity: int
-) -> Iterator[tuple[Term, ...]]:
-    """Argument tuples whose maximum depth is exactly ``max_depth``."""
-    pools: list[Term] = []
-    for d in range(1, max_depth + 1):
-        pools.extend(by_depth.get(d, []))
-    if not by_depth.get(max_depth):
-        return
-
-    def rec(i: int, used_deep: bool, acc: list[Term]) -> Iterator[tuple[Term, ...]]:
-        if i == arity:
-            if used_deep:
-                yield tuple(acc)
-            return
-        for t in pools:
-            acc.append(t)
-            yield from rec(i + 1, used_deep or term_depth(t) == max_depth, acc)
-            acc.pop()
-    yield from rec(0, False, [])
 
 
 # ---------------------------------------------------------------------------

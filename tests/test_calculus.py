@@ -343,23 +343,6 @@ class TestBuiltinDerivations:
         )
         assert built.derivation.conclusion == expected
 
-    def test_prop1_missing_equation_detected(self):
-        from mqlogic.derivations import _require_coding
-        from mqlogic.syntax import SignatureError
-
-        sig = Signature()
-        sig.add_arithmetic("0", "s")
-        sig.add_function("fm", 2)
-        sig.add_function("tdot", 1)
-        sig.declare_name(
-            "mu",
-            Neg(Exists("x", Atom("T", (App("fm", (Var("x"), Const("mu"))),)))),
-        )
-        sig.add_rewrite(App("fm", (Numeral(0), Var("y"))), Var("y"), "fm.zero")
-        with pytest.raises(SignatureError) as exc:
-            _require_coding(sig)
-        assert "fm.succ" in str(exc.value)
-
 
 class TestReports:
     def test_determinism_byte_for_byte(self):

@@ -96,14 +96,33 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "line",
-        ["mode foo", "atom P(a) = 1/0", "atom P(a) = x", "limit 3"],
-        ids=["mode", "zero-denominator", "not-a-number", "unknown-directive"],
+        [
+            "mode foo",
+            "atom P(a) = 1/0",
+            "atom P(a) = x",
+            "limit 3",
+            "atom P(a) = 3/2",
+            "default P = 2",
+        ],
+        ids=[
+            "mode",
+            "zero-denominator",
+            "not-a-number",
+            "unknown-directive",
+            "atom-out-of-range",
+            "default-out-of-range",
+        ],
     )
     def test_malformed_valuation_exit_2(self, capsys, tmp_path, line):
         v = tmp_path / "bad.val"
         v.write_text(f"default P = 1/2\n{line}\n")
         assert main(["eval", "-v", str(v), "-f", "P(a)"]) == 2
         assert "valuation line 2:" in capsys.readouterr().err
+
+    def test_empty_valuation_path_exit_2(self, capsys):
+        assert main(["eval", "-v", "", "-f", "P(a)"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
 
 
 class TestCheckSequent:

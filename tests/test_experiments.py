@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mqlogic.experiments import EXPERIMENT_IDS, repro_lemma1, run_experiment
+from mqlogic.experiments import EXPERIMENT_IDS, run_experiment
 
 
 class TestAllExperiments:
@@ -16,14 +16,6 @@ class TestAllExperiments:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             run_experiment("thm3")
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [({"max_den": 0}, "max_den must be >= 1"), ({"max_len": -1}, "max_len must be >= 0")],
-    )
-    def test_lemma1_sizes_validated(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            repro_lemma1(samples=10, **kwargs)
 
 
 class TestReproducibility:

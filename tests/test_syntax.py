@@ -12,6 +12,7 @@ from mqlogic.syntax import (
     Neg,
     Numeral,
     ParseError,
+    Quote,
     RuleOrientationError,
     Signature,
     SignatureError,
@@ -162,6 +163,29 @@ class TestEnumeration:
             Const("a"),
             App("f", (Const("a"),)),
             App("f", (App("f", (Const("a"),)),)),
+        ]
+
+    def test_binary_function_order(self):
+        s = Signature()
+        s.add_constant("a")
+        s.add_constant("b")
+        s.add_function("f", 1)
+        s.add_function("g", 2)
+        assert [render_term(t) for t in enumerate_closed_terms(s, 10)] == [
+            "a", "b", "f(a)", "f(b)",
+            "g(a, a)", "g(a, b)", "g(b, a)", "g(b, b)",
+            "f(f(a))", "f(f(b))",
+        ]
+
+    def test_arithmetic_order(self):
+        s = Signature()
+        s.add_arithmetic("0", "s")
+        s.add_constant("c")
+        s.add_function("h", 2)
+        assert [render_term(t) for t in enumerate_closed_terms(s, 12)] == [
+            "0", "c", "1", "s(c)",
+            "h(0, 0)", "h(0, c)", "h(c, 0)", "h(c, c)",
+            "2", "s(s(c))", "s(h(0, 0))", "s(h(0, c))",
         ]
 
     def test_zero_terms(self):
@@ -429,6 +453,43 @@ class TestSignatureLoading:
         s.declare_name("l", Neg(Atom("T", (Const("l"),))))
         with pytest.raises(SignatureError):
             s.declare_name("k", Neg(Atom("T", (Const("l"),))))
+
+    def test_rejected_name_leaves_no_code(self):
+        s = Signature()
+        s.add_arithmetic("0", "s")
+        s.add_predicate("P", 1)
+        p5 = Atom("P", (Numeral(5),))
+        s.declare_name("a", p5)
+        rules, scheme = s.rewrites, s.naming_scheme
+        with pytest.raises(SignatureError, match="already named by 'a'"):
+            s.declare_name("b", p5)
+        assert s.rewrites == rules and s.naming_scheme == scheme
+        assert s.named_formula(Numeral(1)) is None
+        q = s.name_of(Atom("P", (Numeral(7),)))
+        assert normalize_term(q, s) == Numeral(1)
+
+    def test_rejected_name_drops_names_made_while_normalising(self):
+        # g(d) reduces through a quote, so the rejected declaration names
+        # T(d) on the way; that name and its code go with it
+        s = Signature()
+        s.add_arithmetic("0", "s")
+        s.add_predicate("P", 1)
+        s.add_function("g", 1)
+        s.add_function("h", 1)
+        for c in ("b", "c", "d"):
+            s.add_constant(c)
+        s.add_rewrite(
+            App("g", (Var("x"),)), App("h", (Quote(Atom("T", (Var("x"),))),))
+        )
+        s.add_rewrite(App("h", (Var("y"),)), Numeral(0))
+        s.declare_name("a", Atom("P", (App("g", (Const("c"),)),)))
+        state = (s.rewrites, s.naming_scheme, list(s.constants))
+        with pytest.raises(SignatureError, match="already named by 'a'"):
+            s.declare_name("b", Atom("P", (App("g", (Const("d"),)),)))
+        assert (s.rewrites, s.naming_scheme, list(s.constants)) == state
+        assert s.named_formula(Numeral(2)) is None
+        q = s.name_of(Atom("P", (Numeral(7),)))
+        assert normalize_term(q, s) == Numeral(2)
 
     def test_truth_predicate_always_present(self):
         s = Signature()
