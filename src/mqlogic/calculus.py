@@ -13,6 +13,10 @@ Without one, each formula of the rule's shape on the principal's side is
 tried in rendered order: the first that fits passes the node, otherwise
 the last mismatch is reported.
 
+One ``derivation_from_json`` call parses and normalises each distinct
+formula text once, whatever the number of nodes that repeat it, and
+keeps nothing between calls.
+
 Family verification is bounded: templates are checked for structural
 uniformity and fully instantiated at finitely many slots, and instance
 coverage of the closed-term enumeration is spot-checked at finitely many
@@ -30,8 +34,10 @@ from .multiset import (
     OMEGA,
     FormulaFamily,
     Multiplicity,
+    ReadFormula,
     Sequent,
     SequentSide,
+    formula_reader,
     json_value,
 )
 from .syntax import (
@@ -52,7 +58,6 @@ from .syntax import (
     formulas_equal,
     free_vars,
     normalize_term,
-    parse_formula,
     render_formula,
     render_term,
     substitute,
@@ -898,39 +903,48 @@ def derivation_to_json(d: Derivation) -> dict:
 def derivation_from_json(data: dict, sig: Signature) -> Derivation:
     """The derivation a JSON node describes.  Malformed input raises
     CheckError naming the problem: a missing field, a field of the wrong
-    type, an unknown rule id, a slot offset below 1, or a family whose
-    ``start`` differs from its explicit-slot count."""
+    type (sides, families, ``premises`` and ``explicit`` must be JSON
+    arrays, side members ``[formula, multiplicity]`` pairs), an unknown
+    rule id, a slot offset below 1, or a family whose ``start`` differs
+    from its explicit-slot count.
+
+    Each distinct formula text is parsed and normalised once per call
+    (``multiset.formula_reader``); nothing is kept between calls."""
+    read = formula_reader(sig)
     try:
-        return _derivation_from_json(data, sig)
+        return _derivation_from_json(data, sig, read)
     except KeyError as e:
         raise CheckError(f"derivation JSON lacks the field {e}") from None
     except (TypeError, AttributeError, OverflowError) as e:
         raise CheckError(f"malformed derivation JSON: {e}") from None
 
 
-def _derivation_from_json(data: dict, sig: Signature) -> Derivation:
+def _derivation_from_json(data: dict, sig: Signature, read: ReadFormula) -> Derivation:
     if not isinstance(data, dict):
         raise CheckError(f"a derivation node must be a JSON object, got {data!r:.40}")
     premises: list[Union[Derivation, SlotRef]] = []
-    for p in data.get("premises", []):
+    for p in json_value(data.get("premises", []), "premises", list):
         if isinstance(p, dict) and "slotRef" in p:
             premises.append(SlotRef(json_value(p["slotRef"], "slotRef")))
         else:
-            premises.append(_derivation_from_json(p, sig))
+            premises.append(_derivation_from_json(p, sig, read))
     family = None
     if "family" in data:
         f = data["family"]
         family = UniformFamily(
             f["var"],
             json_value(f["start"], "start"),
-            _derivation_from_json(f["template"], sig),
-            tuple(_derivation_from_json(e, sig) for e in f.get("explicit", [])),
+            _derivation_from_json(f["template"], sig, read),
+            tuple(
+                _derivation_from_json(e, sig, read)
+                for e in json_value(f.get("explicit", []), "explicit", list)
+            ),
         )
     principal = None
     if "principal" in data:
-        principal = parse_formula(data["principal"]["formula"], sig)
+        principal = read(data["principal"]["formula"])[0]
     return Derivation(
-        Sequent.from_json(data["seq"], sig),
+        Sequent.from_json(data["seq"], sig, read),
         data["rule"],
         tuple(premises),
         family,

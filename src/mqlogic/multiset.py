@@ -6,12 +6,17 @@ and compared in normalised form (coding equations applied to all maximal
 closed subterms), so provably-equal instances collapse to one entry.
 Inside derivations a side may also carry omega-indexed formula families,
 and its formulas may be open; a sequent parsed from text holds sentences.
+A JSON sequent is read through a ``formula_reader``, which parses and
+normalises each distinct text once, and its sides are built from those
+normal forms.  Rendering sorts the members by their text, so each member
+is rendered once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .syntax import (
     Formula,
@@ -45,6 +50,9 @@ OMEGA = OmegaType()
 
 Multiplicity = Union[int, OmegaType]
 
+# formula text -> (parsed formula, its normal form); see formula_reader
+ReadFormula = Callable[[str], tuple[Formula, Formula]]
+
 
 def mult_add(a: Multiplicity, b: Multiplicity) -> Multiplicity:
     if a is OMEGA or b is OMEGA:
@@ -77,6 +85,28 @@ def json_value(value, field: str, kind: type = int, minimum: Optional[int] = Non
         bound = "" if minimum is None else f" >= {minimum}"
         raise TypeError(f"'{field}' must be a JSON {kind.__name__}{bound}, got {value!r}")
     return value
+
+
+def formula_reader(sig: Signature) -> ReadFormula:
+    """A function from a formula text to its parsed formula and that
+    formula's normal form, parsing and normalising each distinct text once.
+
+    A parse depends on the declared symbols: a bare identifier is a
+    variable until it is declared a constant, and a closed ``quote(...)``
+    may declare a name.  So the table is keyed on the text and the symbol
+    count, which only grows; a failed parse stores nothing.  The table
+    lives as long as the function: a loader makes one per load."""
+    table: dict[tuple[str, int], tuple[Formula, Formula]] = {}
+
+    def read(text: str) -> tuple[Formula, Formula]:
+        key = (json_value(text, "formula", str), len(sig._symbols))
+        hit = table.get(key)
+        if hit is None:
+            f = parse_formula(text, sig)
+            hit = table[key] = (f, normalize_formula(f, sig))
+        return hit
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +153,29 @@ def _take(entries: dict, key: Formula, m: Multiplicity, shown: Formula) -> None:
         entries[key] = rest
 
 
+def _collect(
+    sig: Signature,
+    entries: Iterable[tuple[Formula, Multiplicity]],
+    families: Iterable[FormulaFamily],
+) -> tuple[dict, tuple[FormulaFamily, ...]]:
+    """The entry map and sorted families of a side, from entries whose
+    formulas are already normalised.  Repeated formulas add up; a family
+    whose template does not mention its index folds into omega copies of
+    the template's normal form."""
+    counts: dict[Formula, Multiplicity] = {}
+    for f, m in entries:
+        if m is not OMEGA and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
+            raise ValueError(f"multiplicity must be a positive integer or OMEGA: {m!r}")
+        _put(counts, f, m)
+    indexed: list[FormulaFamily] = []
+    for fam in families:
+        if fam.var in free_vars(fam.template):
+            indexed.append(fam)
+        else:
+            _put(counts, normalize_formula(fam.template, sig), OMEGA)
+    return counts, _sorted_families(sig, indexed)
+
+
 class SequentSide:
     """One side of a sequent: a finite-support map from formulas to
     multiplicities in omega+1, plus omega-indexed formula families.
@@ -142,20 +195,10 @@ class SequentSide:
         entries: Iterable[tuple[Formula, Multiplicity]] = (),
         families: Iterable[FormulaFamily] = (),
     ) -> None:
-        counts: dict[Formula, Multiplicity] = {}
-        for f, m in entries:
-            if m is not OMEGA and (not isinstance(m, int) or isinstance(m, bool) or m < 1):
-                raise ValueError(f"multiplicity must be a positive integer or OMEGA: {m!r}")
-            _put(counts, normalize_formula(f, sig), m)
-        indexed: list[FormulaFamily] = []
-        for fam in families:
-            if fam.var in free_vars(fam.template):
-                indexed.append(fam)
-            else:
-                _put(counts, normalize_formula(fam.template, sig), OMEGA)
         self.sig = sig
-        self._entries = counts
-        self.families = _sorted_families(sig, indexed)
+        self._entries, self.families = _collect(
+            sig, ((normalize_formula(f, sig), m) for f, m in entries), families
+        )
 
     @classmethod
     def _of(cls, sig: Signature, entries: dict, families: tuple) -> "SequentSide":
@@ -228,10 +271,16 @@ class SequentSide:
         theirs = [_family_key(other.sig, f) for f in other.families]
         return mine == theirs
 
+    def _rendered(self) -> list[tuple[str, Multiplicity]]:
+        """``(rendering, multiplicity)`` per entry in ``items()`` order,
+        each formula rendered once."""
+        return sorted(
+            ((render_formula(f), m) for f, m in self._entries.items()), key=itemgetter(0)
+        )
+
     def render(self) -> str:
         parts: list[str] = []
-        for f, m in self.items():
-            text = render_formula(f)
+        for text, m in self._rendered():
             if m is OMEGA:
                 parts.append(f"{text}^w")
             elif m == 1:
@@ -245,7 +294,7 @@ class SequentSide:
         return ", ".join(parts)
 
     def _to_json(self) -> tuple[list, list]:
-        finite = [[render_formula(f), "w" if m is OMEGA else m] for f, m in self.items()]
+        finite = [[text, "w" if m is OMEGA else m] for text, m in self._rendered()]
         fams = [
             {"var": f.var, "start": f.start, "formula": render_formula(f.template)}
             for f in self.families
@@ -253,20 +302,28 @@ class SequentSide:
         return finite, fams
 
     @staticmethod
-    def _from_json(entries: list, fams: list, sig: Signature) -> "SequentSide":
+    def _from_json(data: dict, field: str, sig: Signature, read: ReadFormula) -> "SequentSide":
+        """The ``field`` side (``"ant"`` or ``"suc"``) of a JSON sequent.  A
+        member is a ``[formula, multiplicity]`` pair, stored as the normal
+        form that ``read`` gives for its text."""
         members = []
-        for formula_text, m in entries:
+        for entry in json_value(data.get(field, []), field, list):
+            if type(entry) is not list or len(entry) != 2:
+                raise TypeError(
+                    f"'{field}' members must be [formula, multiplicity] pairs, got {entry!r}"
+                )
+            text, m = entry
             m = OMEGA if m == "w" else json_value(m, "multiplicity", minimum=1)
-            members.append((parse_formula(formula_text, sig), m))
+            members.append((read(text)[1], m))
         families = [
             FormulaFamily(
                 json_value(f["var"], "var", str),
                 json_value(f["start"], "start", minimum=0),
-                parse_formula(f["formula"], sig),
+                read(f["formula"])[0],
             )
-            for f in fams
+            for f in json_value(data.get(f"{field}Fams", []), f"{field}Fams", list)
         ]
-        return SequentSide(sig, members, families)
+        return SequentSide._of(sig, *_collect(sig, members, families))
 
 
 class Sequent:
@@ -316,11 +373,11 @@ class Sequent:
         return out
 
     @staticmethod
-    def from_json(data: dict, sig: Signature) -> "Sequent":
-        return Sequent(
-            SequentSide._from_json(data.get("ant", []), data.get("antFams", []), sig),
-            SequentSide._from_json(data.get("suc", []), data.get("sucFams", []), sig),
-        )
+    def from_json(data: dict, sig: Signature, read: ReadFormula) -> "Sequent":
+        """The sequent ``to_json`` describes, its texts read by ``read``
+        (a ``formula_reader``)."""
+        ant, suc = (SequentSide._from_json(data, side, sig, read) for side in ("ant", "suc"))
+        return Sequent(ant, suc)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
 
@@ -829,27 +829,6 @@ def formulas_equal(a: Formula, b: Formula, sig: Signature) -> bool:
 # Closed-term enumeration
 
 
-def _term_sort_key(sig: Signature, t: Term):
-    if isinstance(t, Const):
-        return (1, (sig.constants.index(t.name),))
-    if isinstance(t, Numeral):
-        if t.value == 0:
-            return (1, (sig.constants.index(sig.zero),))
-        sub = _term_sort_key(sig, Numeral(t.value - 1))
-        return (t.value + 1, (_fn_index(sig, sig.succ), sub))
-    if isinstance(t, App):
-        subs = tuple(_term_sort_key(sig, a) for a in t.args)
-        return (term_depth(t), (_fn_index(sig, t.fn),) + subs)
-    raise TypeError(f"cannot order term: {t!r}")
-
-
-def _fn_index(sig: Signature, fn: str) -> int:
-    for i, (f, _) in enumerate(sig.functions):
-        if f == fn:
-            return i
-    raise UnknownSymbolError(fn)
-
-
 def enumerate_closed_terms(sig: Signature, n: int) -> list[Term]:
     """The first ``n`` closed terms of the canonical enumeration.
 
@@ -862,26 +841,26 @@ def enumerate_closed_terms(sig: Signature, n: int) -> list[Term]:
         raise ValueError("n must be >= 0")
     if not sig.constants:
         raise SignatureError("no constants: the language has no closed terms")
-    if n == 0:
-        return []
-    all_terms: list[Term] = [
+    terms: list[Term] = [
         Numeral(0) if c == sig.zero else Const(c) for c in sig.constants
-    ]
+    ][:n]
     depth = 1
-    while len(all_terms) < n:
-        # the argument tuples with at least one argument at the last depth
-        fresh: list[Term] = [
+    while len(terms) < n:
+        # The next depth: every argument tuple with an argument at the last
+        # depth.  ``terms`` is in enumeration order, so ``product`` yields
+        # the next depth in that order too, and only the terms wanted are built.
+        known = tuple(terms)
+        fresh = (
             _canon(sig, App(fn, args))
             for fn, arity in sig.functions
-            for args in product(all_terms, repeat=arity)
+            for args in product(known, repeat=arity)
             if any(term_depth(a) == depth for a in args)
-        ]
-        if not fresh:
+        )
+        terms.extend(islice(fresh, n - len(terms)))
+        if len(terms) == len(known):
             break  # finite language
         depth += 1
-        fresh.sort(key=lambda t: _term_sort_key(sig, t))
-        all_terms.extend(fresh)
-    return all_terms[:n]
+    return terms
 
 
 # ---------------------------------------------------------------------------

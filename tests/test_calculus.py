@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from mqlogic import calculus, multiset
 from mqlogic.calculus import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -23,7 +25,7 @@ from mqlogic.derivations import (
     prop3_derivation,
     truth_coding_signature,
 )
-from mqlogic.multiset import OMEGA, FormulaFamily, Sequent, parse_sequent
+from mqlogic.multiset import OMEGA, FormulaFamily, Sequent, formula_reader, parse_sequent
 from mqlogic.semantics import Valuation, sequent_sound
 from mqlogic.syntax import (
     App,
@@ -35,8 +37,12 @@ from mqlogic.syntax import (
     Numeral,
     Signature,
     Var,
+    free_vars,
     load_signature,
+    normalize_formula,
+    parse_formula,
 )
+from test_check_reports import drawn_derivations
 
 
 @pytest.fixture
@@ -387,6 +393,86 @@ class TestJsonRoundTrip:
         with pytest.raises(CheckError):
             Derivation(Sequent.make(lsig), "Cut")
 
+    @pytest.mark.parametrize(
+        "build", [lambda: prop1_derivation(k=4), prop3_derivation], ids=["prop1", "prop3"]
+    )
+    def test_builtin_json_is_a_fixed_point(self, build):
+        built = build()
+        data = json.loads(json.dumps(derivation_to_json(built.derivation)))
+        assert derivation_to_json(derivation_from_json(data, built.sig)) == data
+
+    def test_drawn_json_is_a_fixed_point(self):
+        for d, sig, _ in drawn_derivations():
+            data = json.loads(json.dumps(derivation_to_json(d)))
+            assert derivation_to_json(derivation_from_json(data, sig)) == data
+
+
+def _formula_texts(node) -> set:
+    """Every formula text in a derivation's JSON."""
+    if isinstance(node, list):
+        return set().union(*map(_formula_texts, node))
+    texts = set()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("ant", "suc"):
+                texts.update(text for text, _ in value)
+            elif key == "formula":
+                texts.add(value)
+            else:
+                texts |= _formula_texts(value)
+    return texts
+
+
+def _fresh_reader(sig):
+    """A reader that parses and normalises every text afresh."""
+
+    def read(text):
+        f = parse_formula(text, sig)
+        return f, normalize_formula(f, sig)
+
+    return read
+
+
+class TestFormulaTable:
+    """A load parses and normalises each distinct formula text once."""
+
+    # The premise is read before the root's sequent, while q0 is undeclared,
+    # so its T(q0) is open.  The root's quote(~T(0)) then names ~T(0) q0
+    # (code 1), and the root's T(q0), the same text, is closed.
+    QUOTED = {
+        "seq": {"ant": [["T(quote(~T(0)))", 1], ["T(q0)", 1]], "suc": [["T(q0)", 1]]},
+        "rule": "Init",
+        "premises": [{"seq": {"ant": [["T(q0)", 1]], "suc": [["T(q0)", 1]]}, "rule": "Init"}],
+    }
+
+    def test_a_name_declared_mid_load_is_seen(self, monkeypatch):
+        sig = truth_coding_signature()
+        loaded = derivation_from_json(self.QUOTED, sig)
+        monkeypatch.setattr(calculus, "formula_reader", _fresh_reader)
+        fresh_sig = truth_coding_signature()
+        fresh = derivation_from_json(self.QUOTED, fresh_sig)
+        assert json.dumps(derivation_to_json(loaded)) == json.dumps(derivation_to_json(fresh))
+        report = check_derivation(loaded, sig)
+        assert report.dumps() == check_derivation(fresh, fresh_sig).dumps()
+        [premise] = loaded.premises
+        assert free_vars(premise.conclusion.suc.support()[0]) == {"q0"}
+        assert loaded.conclusion.suc.support() == [Atom("T", (Numeral(1),))]
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        built = prop1_derivation(k=4)
+        data = json.loads(json.dumps(derivation_to_json(built.derivation)))
+        parsed = Counter()
+        parse = multiset.parse_formula
+
+        def counting(text, sig, **kwargs):
+            parsed[text] += 1
+            return parse(text, sig, **kwargs)
+
+        monkeypatch.setattr(multiset, "parse_formula", counting)
+        derivation_from_json(data, built.sig)
+        assert set(parsed.values()) == {1}
+        assert set(parsed) == _formula_texts(data)
+
 
 class TestSlotReferences:
     """A slot reference names an earlier slot: offset 0 would let a slot
@@ -422,7 +508,7 @@ class TestSlotReferences:
         sig = load_signature("pred B/0\npred T/1\nname t = T(t)\n")
         t_of_t = Atom("T", (Const("t"),))
         v = Valuation(sig, atom_values={Atom("B", ()): F(1), t_of_t: F(0)})
-        seq = Sequent.from_json(self.truth_teller_json(1)["seq"], sig)
+        seq = Sequent.from_json(self.truth_teller_json(1)["seq"], sig, formula_reader(sig))
         assert not sequent_sound(v, seq)
 
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from typing import Iterator
 
 from mqlogic.calculus import (
     ADDITIVE,
@@ -28,6 +29,7 @@ from mqlogic.calculus import (
 from mqlogic.derivations import prop1_derivation, prop3_derivation
 from mqlogic.fuzz import generate_derivation, toy_signature
 from mqlogic.multiset import Sequent
+from mqlogic.syntax import Signature
 
 GOLDEN = Path(__file__).parent / "data" / "check_reports.json"
 PROP1_KS = (2, 4, 8)
@@ -101,24 +103,26 @@ def _report_digest(d: Derivation, sig, policy: str, depth: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def mutated_digests() -> list[str]:
+def drawn_derivations() -> Iterator[tuple[Derivation, Signature, str]]:
+    """The seeded generated and mutated derivations, each with its
+    signature and the policy its report is digested under."""
     rng = random.Random(20)
-    digests = []
     sig = toy_signature()
     for i in range(GENERATED):
         d = generate_derivation(rng, sig, 1 + i % 5)
         kind = MUTATIONS[i % len(MUTATIONS)]
         d = _mutate_at(d, rng.randrange(_node_count(d)), kind, rng)
-        policy = POLICIES[i % 2]
-        digests.append(_report_digest(d, sig, policy, 4))
+        yield d, sig, POLICIES[i % 2]
     builtins = (prop1_derivation(2), prop3_derivation())
     for i in range(MUTATED_BUILTINS):
         b = builtins[i % 2]
         kind = MUTATIONS[1 + i % (len(MUTATIONS) - 1)]
         d = _mutate_at(b.derivation, rng.randrange(_node_count(b.derivation)), kind, rng)
-        policy = (MULTIPLICATIVE, ADDITIVE)[(i // 2) % 2]
-        digests.append(_report_digest(d, b.sig, policy, 4))
-    return digests
+        yield d, b.sig, (MULTIPLICATIVE, ADDITIVE)[(i // 2) % 2]
+
+
+def mutated_digests() -> list[str]:
+    return [_report_digest(d, sig, policy, 4) for d, sig, policy in drawn_derivations()]
 
 
 def _golden() -> dict:

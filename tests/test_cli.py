@@ -298,13 +298,50 @@ class TestCheckDerivation:
                 )
                 for m in (1.9, True, "3")
             ),
+            *(
+                (
+                    {**INIT, "seq": {"ant": side, "suc": [["T(l)", 1]]}},
+                    "8",
+                    f"'ant' must be a JSON list, got {side!r}",
+                )
+                for side in ("", {})
+            ),
+            (
+                {**INIT, "premises": {}},
+                "8",
+                "'premises' must be a JSON list, got {}",
+            ),
+            *(
+                (
+                    {**INIT, "seq": {"ant": [member], "suc": [["T(l)", 1]]}},
+                    "8",
+                    f"'ant' members must be [formula, multiplicity] pairs, got {member!r}",
+                )
+                for member in (["T(l)", 1, 2], ["T(l)"])
+            ),
+            (
+                {
+                    "seq": {"ant": [["Ex x T(x)", 1]], "suc": []},
+                    "rule": "ExistsLw",
+                    "family": {"var": "n", "start": 0, "template": INIT, "explicit": {}},
+                },
+                "8",
+                "'explicit' must be a JSON list, got {}",
+            ),
+            (
+                {**INIT, "seq": {**INIT["seq"], "sucFams": {}}},
+                "8",
+                "'sucFams' must be a JSON list, got {}",
+            ),
         ],
         ids=["missing-seq", "top-level-list", "bad-rule", "start-mismatch",
              "family-var-null", "depth-0", "slot-ref-0", "slot-ref-float",
              "slot-ref-bool", "slot-ref-string", "family-start-float",
              "family-start-bool", "sequent-family-var-null",
              "sequent-family-start-negative", "multiplicity-float",
-             "multiplicity-bool", "multiplicity-string"],
+             "multiplicity-bool", "multiplicity-string", "side-string",
+             "side-object", "premises-object", "member-triple", "member-single",
+             "explicit-object", "families-object"],
     )
     def test_malformed_input_exit_2(
         self, capsys, tmp_path, liar_sig, data, depth, message

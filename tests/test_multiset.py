@@ -1,18 +1,32 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mqlogic.multiset import (
     OMEGA,
     FormulaFamily,
     Sequent,
     SequentSide,
+    formula_reader,
     mult_add,
     mult_sub,
     parse_sequent,
 )
 from mqlogic.derivations import liar_signature
-from mqlogic.syntax import Atom, Const, Neg, ParseError, Var
+from mqlogic.syntax import (
+    App,
+    Atom,
+    Cond,
+    Const,
+    Exists,
+    Neg,
+    Numeral,
+    ParseError,
+    Var,
+    load_signature,
+    render_formula,
+)
 
 
 @pytest.fixture
@@ -146,7 +160,7 @@ class TestSequentForms:
         s = parse_sequent("T(l)^3 |- ~T(l)", sig)
         data = json.loads(json.dumps(s.to_json()))
         assert data == {"ant": [["T(l)", 3]], "suc": [["~T(l)", 1]]}
-        assert Sequent.from_json(data, sig) == s
+        assert Sequent.from_json(data, sig, formula_reader(sig)) == s
         # family fields appear only on a side that has families
         fam = FormulaFamily("n", 1, Atom("T", (Var("n"),)))
         s = Sequent.make(sig, suc_families=[fam])
@@ -156,7 +170,7 @@ class TestSequentForms:
             "suc": [],
             "sucFams": [{"var": "n", "start": 1, "formula": "T(n)"}],
         }
-        assert Sequent.from_json(data, sig) == s
+        assert Sequent.from_json(data, sig, formula_reader(sig)) == s
 
     def test_empty_sequent(self, sig):
         s = parse_sequent(" |- ", sig)
@@ -174,3 +188,68 @@ class TestSequentForms:
         with pytest.raises(ParseError) as exc:
             parse_sequent(text, sig)
         assert exc.value.position == position
+
+
+# ---------------------------------------------------------------------------
+# Rendering order: each member is rendered once and sorted by its text,
+# which must give the order of ``items()``.
+
+SIDE_SIG = load_signature("const a\narith 0 s\nfun f/1\npred P/1\npred Q/2\n")
+_terms = st.recursive(
+    st.sampled_from([Const("a"), Numeral(0), Numeral(2), Var("x"), Var("n")]),
+    lambda inner: st.builds(lambda t: App("f", (t,)), inner),
+    max_leaves=3,
+)
+_formulas = st.recursive(
+    st.one_of(
+        st.builds(lambda t: Atom("P", (t,)), _terms),
+        st.builds(lambda t, u: Atom("Q", (t, u)), _terms, _terms),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Neg, inner),
+        st.builds(Cond, inner, inner),
+        st.builds(Exists, st.sampled_from(["x", "n"]), inner),
+    ),
+    max_leaves=4,
+)
+_entries = st.lists(
+    st.tuples(_formulas, st.one_of(st.integers(1, 3), st.just(OMEGA))), max_size=6
+)
+_families = st.lists(
+    st.builds(FormulaFamily, st.sampled_from(["n", "m"]), st.integers(0, 2), _formulas),
+    max_size=3,
+)
+
+
+def _render_by_items(side: SequentSide) -> str:
+    """``render`` read off ``items()``, rendering each member again."""
+    parts = []
+    for f, m in side.items():
+        text = render_formula(f)
+        if m is OMEGA:
+            parts.append(f"{text}^w")
+        elif m == 1:
+            parts.append(text)
+        else:
+            parts.append(f"{text}^{m}")
+    for fam in side.families:
+        parts.append(f"{render_formula(fam.template)}[{fam.var}>={fam.start}]")
+    return ", ".join(parts)
+
+
+def _to_json_by_items(side: SequentSide) -> tuple[list, list]:
+    """``_to_json`` read off ``items()``, rendering each member again."""
+    finite = [[render_formula(f), "w" if m is OMEGA else m] for f, m in side.items()]
+    fams = [
+        {"var": f.var, "start": f.start, "formula": render_formula(f.template)}
+        for f in side.families
+    ]
+    return finite, fams
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_entries, families=_families)
+def test_render_and_json_follow_the_item_order(entries, families):
+    side = SequentSide(SIDE_SIG, entries, families)
+    assert side.render() == _render_by_items(side)
+    assert side._to_json() == _to_json_by_items(side)

@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from enumeration_oracle import enumerate_closed_terms_eager
 from rewrite_oracle import normalize_term_outermost
 from mqlogic.syntax import (
     App,
@@ -192,6 +194,32 @@ class TestEnumeration:
         s = Signature()
         s.add_constant("a")
         assert enumerate_closed_terms(s, 0) == []
+
+    @staticmethod
+    def _shapes():
+        """Four signatures: a ternary function, two with arithmetic (one
+        declaring a constant after it) and a mixed-arity one."""
+        ternary = load_signature("const a\nconst b\nconst c\nfun h/3\n")
+        arith_first = load_signature("arith 0 s\nconst c\nfun h/2\n")
+        arith_between = load_signature("const a\narith 0 s\nconst b\nfun g/2\n")
+        mixed = load_signature("const a\nconst b\nfun f/1\nfun g/2\n")
+        return (ternary, arith_first, arith_between, mixed)
+
+    @pytest.mark.parametrize("shape", range(4))
+    def test_matches_the_eager_sorted_enumeration(self, shape):
+        sig = self._shapes()[shape]
+        # the eager version builds whole depths before it truncates, so
+        # its first n terms do not depend on how many it was asked for
+        reference = enumerate_closed_terms_eager(sig, 200)
+        for n in range(201):
+            assert enumerate_closed_terms(sig, n) == reference[:n], n
+
+    def test_one_term_past_a_depth_builds_only_that_term(self):
+        sig = self._shapes()[0]  # 30 terms up to depth 2, 26,973 at depth 3
+        start = time.perf_counter()
+        terms = enumerate_closed_terms(sig, 31)
+        assert time.perf_counter() - start < 0.05
+        assert render_term(terms[-1]) == "h(a, a, h(a, a, a))"
 
     def test_no_constants_is_an_error(self):
         s = Signature()
