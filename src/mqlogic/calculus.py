@@ -57,6 +57,7 @@ from .syntax import (
     enumerate_closed_terms,
     formulas_equal,
     free_vars,
+    normalize_formula,
     normalize_term,
     render_formula,
     render_term,
@@ -274,7 +275,16 @@ class _RuleChecker:
 
     A clause returns when its candidate principal fits and raises
     ``_Mismatch`` when it does not; any other ``CheckError`` fails the
-    node outright."""
+    node outright.
+
+    For the life of one check the checker keeps the normal form of each
+    family-slot instance it has built (``_slot_forms``) and of each
+    enumerated closed term (``_slot_for_term``), so the coverage spot
+    checks normalise each of them once.  Without arithmetic a slot's term
+    comes from the enumeration, which a name created mid-check extends,
+    so the slot table is keyed by the constant count as well.  The
+    enumerated terms are fixed at their first use, and without arithmetic
+    a new name adds no rule, so their normal forms cannot change."""
 
     def __init__(self, sig: Signature, policy: str, depth: int) -> None:
         if depth < 1:
@@ -285,6 +295,10 @@ class _RuleChecker:
         self.policy = policy
         self.depth = depth
         self._enum_cache: Optional[list[Term]] = None
+        # normal forms of the enumeration prefix, in order
+        self._enum_normal: list[Term] = []
+        # (family, constant count) -> slot -> normal form of its instance
+        self._slot_tables: dict[tuple[FormulaFamily, int], dict[int, Formula]] = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -309,9 +323,16 @@ class _RuleChecker:
     def _slot_for_term(self, t: Term) -> int:
         """Which family slot covers the instance at closed term t."""
         if not self.sig.has_arithmetic:
-            terms = self._enum_terms()
-            for i, u in enumerate(terms):
-                if normalize_term(u, self.sig) == normalize_term(t, self.sig):
+            normal = self._enum_normal
+            nf = None
+            for i, u in enumerate(self._enum_terms()):
+                # t goes after the first term: a quote rule may create names
+                # while rewriting, numbered in the order it meets them
+                if i == len(normal):
+                    normal.append(normalize_term(u, self.sig))
+                if nf is None:
+                    nf = normalize_term(t, self.sig)
+                if normal[i] == nf:
                     return i
             raise CheckError(f"term {render_term(t)} not in the enumeration prefix")
         nf = normalize_term(t, self.sig)
@@ -514,13 +535,27 @@ class _RuleChecker:
                 return t
         return None
 
+    def _slot_forms(self, fam: FormulaFamily) -> Callable[[int], Formula]:
+        """The normal form of ``fam``'s instance at a slot, each built once
+        for the current constant count."""
+        forms = self._slot_tables.setdefault((fam, len(self.sig.constants)), {})
+
+        def at(slot: int) -> Formula:
+            nf = forms.get(slot)
+            if nf is None:
+                nf = forms[slot] = normalize_formula(fam.at(self._rep_term(slot)), self.sig)
+            return nf
+
+        return at
+
     def _covering_slot_in_family(
-        self, body: Formula, var: str, fam: FormulaFamily, required: Formula, hint: int
+        self, fam: FormulaFamily, required: Formula, hint: int
     ) -> Optional[int]:
-        bound = max(hint + 1, 0) + self.depth + 8
-        for n in range(fam.start, bound):
-            inst = fam.at(self._rep_term(n))
-            if formulas_equal(inst, required, self.sig):
+        """The first slot of ``fam`` below the spot-check bound whose
+        instance has the normal form ``required``, or None."""
+        at = self._slot_forms(fam)
+        for n in range(fam.start, max(hint + 1, 0) + self.depth + 8):
+            if at(n) == required:
                 return n
         return None
 
@@ -545,13 +580,12 @@ class _RuleChecker:
             raise _Mismatch("the instance family is missing entirely")
         # coverage spot check over the enumeration prefix
         for t in self._enum_terms():
-            required = substitute(body, var, t)
+            required = normalize_formula(substitute(body, var, t), self.sig)
             if part.multiplicity_of(required) != 0:
                 continue
             hint = self._slot_for_term(t)
             covered = any(
-                self._covering_slot_in_family(body, var, fam, required, hint)
-                is not None
+                self._covering_slot_in_family(fam, required, hint) is not None
                 for fam in part.families
             )
             if not covered:
@@ -672,14 +706,14 @@ class _RuleChecker:
             return
         # coverage: every spot-checked closed term maps to a slot whose
         # principal is its instance after normalisation
+        p_slot = self._slot_forms(FormulaFamily(var, 0, body))
         for t in self._enum_terms():
             required = substitute(body, var, t)
             try:
                 slot = self._slot_for_term(t)
             except CheckError as e:
                 raise _Mismatch(str(e)) from None
-            p_slot = substitute(body, var, self._rep_term(slot))
-            if not formulas_equal(required, p_slot, self.sig):
+            if normalize_formula(required, self.sig) != p_slot(slot):
                 raise _Mismatch(
                     f"instance at {render_term(t)} does not match premise "
                     f"slot {slot}"
@@ -903,8 +937,9 @@ def derivation_to_json(d: Derivation) -> dict:
 def derivation_from_json(data: dict, sig: Signature) -> Derivation:
     """The derivation a JSON node describes.  Malformed input raises
     CheckError naming the problem: a missing field, a field of the wrong
-    type (sides, families, ``premises`` and ``explicit`` must be JSON
-    arrays, side members ``[formula, multiplicity]`` pairs), an unknown
+    type (``seq``, ``family``, ``principal`` and each family of a side
+    must be JSON objects, sides, families, ``premises`` and ``explicit``
+    JSON arrays, side members ``[formula, multiplicity]`` pairs), an unknown
     rule id, a slot offset below 1, or a family whose ``start`` differs
     from its explicit-slot count.
 
@@ -930,7 +965,7 @@ def _derivation_from_json(data: dict, sig: Signature, read: ReadFormula) -> Deri
             premises.append(_derivation_from_json(p, sig, read))
     family = None
     if "family" in data:
-        f = data["family"]
+        f = json_value(data["family"], "family", dict)
         family = UniformFamily(
             f["var"],
             json_value(f["start"], "start"),
@@ -942,9 +977,9 @@ def _derivation_from_json(data: dict, sig: Signature, read: ReadFormula) -> Deri
         )
     principal = None
     if "principal" in data:
-        principal = read(data["principal"]["formula"])[0]
+        principal = read(json_value(data["principal"], "principal", dict)["formula"])[0]
     return Derivation(
-        Sequent.from_json(data["seq"], sig, read),
+        Sequent.from_json(json_value(data["seq"], "seq", dict), sig, read),
         data["rule"],
         tuple(premises),
         family,

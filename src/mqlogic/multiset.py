@@ -305,7 +305,7 @@ class SequentSide:
     def _from_json(data: dict, field: str, sig: Signature, read: ReadFormula) -> "SequentSide":
         """The ``field`` side (``"ant"`` or ``"suc"``) of a JSON sequent.  A
         member is a ``[formula, multiplicity]`` pair, stored as the normal
-        form that ``read`` gives for its text."""
+        form that ``read`` gives for its text; a family is a JSON object."""
         members = []
         for entry in json_value(data.get(field, []), field, list):
             if type(entry) is not list or len(entry) != 2:
@@ -315,14 +315,15 @@ class SequentSide:
             text, m = entry
             m = OMEGA if m == "w" else json_value(m, "multiplicity", minimum=1)
             members.append((read(text)[1], m))
-        families = [
-            FormulaFamily(
+        families = []
+        fams = json_value(data.get(f"{field}Fams", []), f"{field}Fams", list)
+        for i, f in enumerate(fams):
+            f = json_value(f, f"{field}Fams[{i}]", dict)
+            families.append(FormulaFamily(
                 json_value(f["var"], "var", str),
                 json_value(f["start"], "start", minimum=0),
                 read(f["formula"])[0],
-            )
-            for f in json_value(data.get(f"{field}Fams", []), f"{field}Fams", list)
-        ]
+            ))
         return SequentSide._of(sig, *_collect(sig, members, families))
 
 

@@ -797,7 +797,16 @@ def normalize_term(t: Term, sig: Signature) -> Term:
 
 
 def normalize_formula(f: Formula, sig: Signature) -> Formula:
-    """Normalise every maximal closed subterm of a formula."""
+    """Normalise every maximal closed subterm of a formula.
+
+    A signature with no rewrite rule and no arithmetic has nothing to
+    rewrite and no successor to fold, so every closed term is already
+    normal and ``f`` itself is returned.  The signature is read at each
+    call: a later ``add_rewrite`` or ``add_arithmetic`` applies at once."""
+    if not sig.rewrites and sig.succ is None:
+        if not isinstance(f, (Atom, Neg, Cond, Exists)):
+            raise TypeError(f"not a formula: {f!r}")
+        return f
 
     def fix_term(t: Term) -> Term:
         if term_is_closed(t):

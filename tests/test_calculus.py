@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mqlogic import calculus, multiset
+from mqlogic import calculus, multiset, syntax
 from mqlogic.calculus import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -598,3 +598,66 @@ class TestFamilySlots:
             "family slot 0 exceeds the closed terms of the signature"
         )
         assert report.family_spot_checks == [("root", 0, False)]
+
+
+class TestSlotTable:
+    """One check normalises each family-slot instance once and keeps it in
+    a table keyed by the family and the signature's constant count."""
+
+    @pytest.mark.parametrize("k", [64, 128])
+    def test_prop1_checks_at_depth(self, k):
+        built = prop1_derivation(k)
+        assert check_derivation(built.derivation, built.sig, MULTIPLICATIVE, k).ok
+
+    def test_normalisations_grow_linearly_with_depth(self, monkeypatch):
+        calls = Counter()
+        normalize = syntax.normalize_formula
+
+        def counting(f, sig):
+            calls["n"] += 1
+            return normalize(f, sig)
+
+        for module in (syntax, multiset, calculus):
+            monkeypatch.setattr(module, "normalize_formula", counting)
+        counts = []
+        for k in (32, 64, 128):
+            built = prop1_derivation(k)
+            calls.clear()
+            assert check_derivation(built.derivation, built.sig, MULTIPLICATIVE, k).ok
+            counts.append(calls["n"])
+        assert all(b <= 2.5 * a for a, b in zip(counts, counts[1:])), counts
+
+    def test_two_families_in_one_residual(self):
+        # Q(s(n)) covers 1, 2, ...; Q(z(n)) sorts after it and covers only 0,
+        # so the instance at 0 is found in the second family's own slots
+        sig = load_signature("arith 0 s\nfun z/1\npred Q/1\nrewrite z(x) => 0\n")
+        n = Var("n")
+        successors = FormulaFamily("n", 0, _q(App("s", (n,))))
+        zeros = FormulaFamily("n", 0, _q(App("z", (n,))))
+        conclusion = Sequent.make(sig, suc=[(Exists("x", _q(Var("x"))), 1)])
+        premise = Sequent.make(sig, suc_families=[zeros, successors])
+        assert premise.suc.families == (successors, zeros)
+        assert check_instance(sig, "ExistsRw", [premise], conclusion).ok
+        premise = Sequent.make(sig, suc_families=[successors])
+        verdict = check_instance(sig, "ExistsRw", [premise], conclusion)
+        assert verdict == Verdict(
+            False, "instance at closed term 0 is not covered by the premise family"
+        )
+
+    def test_a_new_constant_moves_the_slots(self):
+        # without arithmetic a slot's term comes from the enumeration, which
+        # a name created mid-check extends: slot 1 becomes the new constant
+        sig = load_signature("const a\nfun f/1\npred Q/1\n")
+        checker = calculus._RuleChecker(sig, MULTIPLICATIVE, 3)
+        fam = FormulaFamily("n", 0, _q(Var("n")))
+        a = Const("a")
+        fa = App("f", (a,))
+        at = checker._slot_forms(fam)
+        assert [at(s) for s in range(3)] == [_q(a), _q(fa), _q(App("f", (fa,)))]
+        q0 = sig.name_of(_q(a))
+        at = checker._slot_forms(fam)
+        assert [at(s) for s in range(3)] == [_q(a), _q(q0), _q(fa)]
+
+
+def _q(t):
+    return Atom("Q", (t,))

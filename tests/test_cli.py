@@ -333,6 +333,26 @@ class TestCheckDerivation:
                 "8",
                 "'sucFams' must be a JSON list, got {}",
             ),
+            ({**INIT, "seq": []}, "8", "'seq' must be a JSON dict, got []"),
+            (
+                {
+                    "seq": {"ant": [["Ex x T(x)", 1]], "suc": []},
+                    "rule": "ExistsLw",
+                    "family": [],
+                },
+                "8",
+                "'family' must be a JSON dict, got []",
+            ),
+            (
+                {**INIT, "seq": {**INIT["seq"], "sucFams": [[1]]}},
+                "8",
+                "'sucFams[0]' must be a JSON dict, got [1]",
+            ),
+            (
+                {**INIT, "principal": "T(l)"},
+                "8",
+                "'principal' must be a JSON dict, got 'T(l)'",
+            ),
         ],
         ids=["missing-seq", "top-level-list", "bad-rule", "start-mismatch",
              "family-var-null", "depth-0", "slot-ref-0", "slot-ref-float",
@@ -341,7 +361,8 @@ class TestCheckDerivation:
              "sequent-family-start-negative", "multiplicity-float",
              "multiplicity-bool", "multiplicity-string", "side-string",
              "side-object", "premises-object", "member-triple", "member-single",
-             "explicit-object", "families-object"],
+             "explicit-object", "families-object", "seq-list", "family-list",
+             "family-entry-list", "principal-string"],
     )
     def test_malformed_input_exit_2(
         self, capsys, tmp_path, liar_sig, data, depth, message

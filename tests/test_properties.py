@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from extended_sums import INFINITE, ExtendedSum
 from rewrite_oracle import normalize_term_outermost
-from mqlogic.derivations import prop1_derivation, truth_coding_signature
+from mqlogic.derivations import liar_signature, prop1_derivation, truth_coding_signature
 from mqlogic.experiments import _lemma1_sample
 from mqlogic.fuzz import _SAMPLERS, RULE_CHOICES, FuzzConfig, draw_unit
 from mqlogic.multiset import OMEGA, FormulaFamily, SequentSide
@@ -46,6 +46,7 @@ from mqlogic.syntax import (
     Exists,
     Neg,
     Numeral,
+    Quote,
     Signature,
     Var,
     _without,
@@ -208,6 +209,43 @@ class TestSyntaxProperties:
             outer = normalize_term_outermost(t, sig)
             assert cold == warm == outer, t
         assert_memo_matches_cold_runs(sig)
+
+
+def full_walk(f, sig):
+    """``normalize_formula``'s general walk: every maximal closed subterm
+    replaced by its ``normalize_term`` normal form.  The reference for the
+    rule-free return."""
+
+    def fix(t):
+        if term_is_closed(t):
+            return normalize_term(t, sig)
+        if isinstance(t, App):
+            return App(t.fn, tuple(fix(a) for a in t.args))
+        return t
+
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(fix(t) for t in f.args))
+    if isinstance(f, Neg):
+        return Neg(full_walk(f.body, sig))
+    if isinstance(f, Cond):
+        return Cond(full_walk(f.lhs, sig), full_walk(f.rhs, sig))
+    return Exists(f.var, full_walk(f.body, sig))
+
+
+class TestRuleFreeNormalForms:
+    quoted = sentences.map(lambda g: Atom("T", (Quote(g),)))
+
+    @given(
+        st.sampled_from([make_sig, Signature, liar_signature]),
+        st.one_of(formulas(6), st.builds(Cond, formulas(3), quoted)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_formula_is_its_own_normal_form(self, make, f):
+        sig = make()
+        assert not sig.rewrites and sig.succ is None
+        nf = normalize_formula(f, sig)
+        assert nf is f
+        assert nf == full_walk(f, sig)
 
 
 def assert_memo_matches_cold_runs(sig):

@@ -26,6 +26,7 @@ from mqlogic.syntax import (
     formulas_equal,
     free_vars,
     load_signature,
+    normalize_formula,
     normalize_term,
     parse_formula,
     parse_term,
@@ -280,6 +281,29 @@ class TestRewriting:
         s = Signature()
         s.add_constant("a")
         assert normalize_term(Const("a"), s) == Const("a")
+
+    def test_rule_free_formula_is_returned(self, sig):
+        f = Neg(Atom("P", (App("f", (Const("l"),)),)))
+        assert normalize_formula(f, sig) is f
+
+    def test_a_later_rule_applies_at_once(self, sig):
+        sig.add_function("f", 1)
+        f = Atom("P", (App("f", (Const("l"),)),))
+        assert normalize_formula(f, sig) is f
+        sig.add_rewrite(App("f", (Var("x"),)), Var("x"))
+        assert normalize_formula(f, sig) == Atom("P", (Const("l"),))
+
+    def test_later_arithmetic_applies_at_once(self, sig):
+        f = Atom("P", (App("s", (Numeral(0),)),))
+        assert normalize_formula(f, sig) is f
+        sig.add_arithmetic("0", "s")
+        assert normalize_formula(f, sig) == Atom("P", (Numeral(1),))
+
+    @pytest.mark.parametrize("make", [Signature, truth_coding_signature])
+    @pytest.mark.parametrize("thing", [Const("l"), "P(l)", None])
+    def test_non_formula_raises(self, make, thing):
+        with pytest.raises(TypeError, match="not a formula"):
+            normalize_formula(thing, make())
 
     def test_idempotent(self):
         s = truth_coding_signature()
