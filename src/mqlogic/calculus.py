@@ -278,13 +278,12 @@ class _RuleChecker:
     node outright.
 
     For the life of one check the checker keeps the normal form of each
-    family-slot instance it has built (``_slot_forms``) and of each
-    enumerated closed term (``_slot_for_term``), so the coverage spot
-    checks normalise each of them once.  Without arithmetic a slot's term
-    comes from the enumeration, which a name created mid-check extends,
-    so the slot table is keyed by the constant count as well.  The
-    enumerated terms are fixed at their first use, and without arithmetic
-    a new name adds no rule, so their normal forms cannot change."""
+    family-slot instance it has built (``_slot_forms``), so the coverage
+    spot checks normalise each of them once.  Without arithmetic a slot's
+    term comes from the enumeration, which a name created mid-check
+    extends, so the slot table is keyed by the constant count as well;
+    a caller fetches the table again after anything that may create a
+    name."""
 
     def __init__(self, sig: Signature, policy: str, depth: int) -> None:
         if depth < 1:
@@ -295,8 +294,6 @@ class _RuleChecker:
         self.policy = policy
         self.depth = depth
         self._enum_cache: Optional[list[Term]] = None
-        # normal forms of the enumeration prefix, in order
-        self._enum_normal: list[Term] = []
         # (family, constant count) -> slot -> normal form of its instance
         self._slot_tables: dict[tuple[FormulaFamily, int], dict[int, Formula]] = {}
 
@@ -323,16 +320,8 @@ class _RuleChecker:
     def _slot_for_term(self, t: Term) -> int:
         """Which family slot covers the instance at closed term t."""
         if not self.sig.has_arithmetic:
-            normal = self._enum_normal
-            nf = None
             for i, u in enumerate(self._enum_terms()):
-                # t goes after the first term: a quote rule may create names
-                # while rewriting, numbered in the order it meets them
-                if i == len(normal):
-                    normal.append(normalize_term(u, self.sig))
-                if nf is None:
-                    nf = normalize_term(t, self.sig)
-                if normal[i] == nf:
+                if normalize_term(u, self.sig) == normalize_term(t, self.sig):
                     return i
             raise CheckError(f"term {render_term(t)} not in the enumeration prefix")
         nf = normalize_term(t, self.sig)
@@ -706,14 +695,15 @@ class _RuleChecker:
             return
         # coverage: every spot-checked closed term maps to a slot whose
         # principal is its instance after normalisation
-        p_slot = self._slot_forms(FormulaFamily(var, 0, body))
+        p_fam = FormulaFamily(var, 0, body)
         for t in self._enum_terms():
             required = substitute(body, var, t)
             try:
                 slot = self._slot_for_term(t)
             except CheckError as e:
                 raise _Mismatch(str(e)) from None
-            if normalize_formula(required, self.sig) != p_slot(slot):
+            # fetched after the normalisation, which may create a name
+            if normalize_formula(required, self.sig) != self._slot_forms(p_fam)(slot):
                 raise _Mismatch(
                     f"instance at {render_term(t)} does not match premise "
                     f"slot {slot}"

@@ -803,9 +803,7 @@ def normalize_formula(f: Formula, sig: Signature) -> Formula:
     rewrite and no successor to fold, so every closed term is already
     normal and ``f`` itself is returned.  The signature is read at each
     call: a later ``add_rewrite`` or ``add_arithmetic`` applies at once."""
-    if not sig.rewrites and sig.succ is None:
-        if not isinstance(f, (Atom, Neg, Cond, Exists)):
-            raise TypeError(f"not a formula: {f!r}")
+    if not sig.rewrites and sig.succ is None and isinstance(f, (Atom, Neg, Cond, Exists)):
         return f
 
     def fix_term(t: Term) -> Term:
