@@ -49,7 +49,6 @@ from .syntax import (
     Neg,
     Numeral,
     Signature,
-    SignatureError,
     StepBudgetError,
     Term,
     Var,
@@ -280,10 +279,11 @@ class _RuleChecker:
     For the life of one check the checker keeps the normal form of each
     family-slot instance it has built (``_slot_forms``), so the coverage
     spot checks normalise each of them once.  Without arithmetic a slot's
-    term comes from the enumeration, which a name created mid-check
-    extends, so the slot table is keyed by the constant count as well;
-    a caller fetches the table again after anything that may create a
-    name."""
+    term and the spot-check terms come from one enumeration, which a name
+    created mid-check extends, so the enumeration and the slot table are
+    keyed by the constant count as well; a caller fetches the table again
+    after anything that may create a name, and ``_spot_check`` reruns a
+    pass that created one."""
 
     def __init__(self, sig: Signature, policy: str, depth: int) -> None:
         if depth < 1:
@@ -293,24 +293,36 @@ class _RuleChecker:
         self.sig = sig
         self.policy = policy
         self.depth = depth
-        self._enum_cache: Optional[list[Term]] = None
+        # constant count (None with arithmetic) -> closed-term enumeration
+        self._enumerations: dict[Optional[int], list[Term]] = {}
         # (family, constant count) -> slot -> normal form of its instance
         self._slot_tables: dict[tuple[FormulaFamily, int], dict[int, Formula]] = {}
 
     # -- helpers -----------------------------------------------------------
 
+    def _enumeration(self, n: int) -> list[Term]:
+        """At least the first ``n`` closed terms (fewer if the language has
+        fewer).  Without arithmetic this is the one enumeration that the
+        spot checks and the slots read, over the current constants, so a
+        name created mid-check moves both alike.  With arithmetic a slot
+        is a numeral, and the spot checks keep the prefix of first use."""
+        if not self.sig.constants:
+            return []
+        key = None if self.sig.has_arithmetic else len(self.sig.constants)
+        terms = self._enumerations.get(key)
+        if terms is None or len(terms) < n:
+            terms = self._enumerations[key] = enumerate_closed_terms(
+                self.sig, max(n, self.depth)
+            )
+        return terms
+
     def _enum_terms(self) -> list[Term]:
-        if self._enum_cache is None:
-            try:
-                self._enum_cache = enumerate_closed_terms(self.sig, self.depth)
-            except SignatureError:
-                self._enum_cache = []
-        return self._enum_cache
+        return self._enumeration(self.depth)[: self.depth]
 
     def _rep_term(self, slot: int) -> Term:
         if self.sig.has_arithmetic:
             return Numeral(slot)
-        terms = enumerate_closed_terms(self.sig, slot + 1) if self.sig.constants else []
+        terms = self._enumeration(slot + 1)
         if len(terms) <= slot:
             raise CheckError(
                 f"family slot {slot} exceeds the closed terms of the signature"
@@ -524,6 +536,26 @@ class _RuleChecker:
                 return t
         return None
 
+    def _spot_check(self, check: Callable[[Term], None]) -> None:
+        """Run ``check`` on each term of the spot-check prefix.  Without
+        arithmetic a name created on the way shifts the enumeration, so a
+        pass that created one runs again over the new prefix, and only a
+        ``CheckError`` raised in a pass that created no name stands.  That
+        ends: the prefix fills with constants, whose instances are
+        normalised once each."""
+        while True:
+            count = len(self.sig.constants)
+            failure = None
+            try:
+                for t in self._enum_terms():
+                    check(t)
+            except CheckError as e:
+                failure = e
+            if self.sig.has_arithmetic or len(self.sig.constants) == count:
+                if failure is not None:
+                    raise failure
+                return
+
     def _slot_forms(self, fam: FormulaFamily) -> Callable[[int], Formula]:
         """The normal form of ``fam``'s instance at a slot, each built once
         for the current constant count."""
@@ -567,21 +599,22 @@ class _RuleChecker:
                 )
         if part.is_empty():
             raise _Mismatch("the instance family is missing entirely")
-        # coverage spot check over the enumeration prefix
-        for t in self._enum_terms():
+
+        def covered(t: Term) -> None:
             required = normalize_formula(substitute(body, var, t), self.sig)
             if part.multiplicity_of(required) != 0:
-                continue
+                return
             hint = self._slot_for_term(t)
-            covered = any(
+            if not any(
                 self._covering_slot_in_family(fam, required, hint) is not None
                 for fam in part.families
-            )
-            if not covered:
+            ):
                 raise _Mismatch(
                     f"instance at closed term {render_term(t)} is not covered "
                     "by the premise family"
                 )
+
+        self._spot_check(covered)
 
     def _rule_existsrw(self, premises, conclusion, principal, family) -> Verdict:
         self._need(premises, 1, "ExistsRw")
@@ -696,18 +729,21 @@ class _RuleChecker:
         # coverage: every spot-checked closed term maps to a slot whose
         # principal is its instance after normalisation
         p_fam = FormulaFamily(var, 0, body)
-        for t in self._enum_terms():
-            required = substitute(body, var, t)
+
+        def covered(t: Term) -> None:
+            required = normalize_formula(substitute(body, var, t), self.sig)
             try:
                 slot = self._slot_for_term(t)
             except CheckError as e:
                 raise _Mismatch(str(e)) from None
-            # fetched after the normalisation, which may create a name
-            if normalize_formula(required, self.sig) != self._slot_forms(p_fam)(slot):
+            # fetched after the normalisations, which may create a name
+            if required != self._slot_forms(p_fam)(slot):
                 raise _Mismatch(
                     f"instance at {render_term(t)} does not match premise "
                     f"slot {slot}"
                 )
+
+        self._spot_check(covered)
 
     # -- derivations -------------------------------------------------------
 

@@ -24,8 +24,11 @@ sum reaches 1, and a sup-mode one reads them all.  It does so only where
 no skipped walk could raise or create a name (``_EvalState``), and walks
 every instance, explicit ones first, everywhere else.
 
-Normal forms are memoised by the signature alone; an evaluation caches
-only its atom values and the valuation's relevant terms.
+Normal forms are memoised by the signature alone.  An evaluation caches
+its atom values and the valuation's relevant terms and, where it stops
+early, the value of each subformula per binding of its own free
+variables, so a subformula under a binder that it does not mention is
+walked once per instance of the binders it does mention.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .syntax import (
     substitute_term,
     subterms,
     term_is_closed,
+    term_vars,
     term_weight,
 )
 
@@ -86,6 +90,14 @@ def unit(q, one=ONE):
     if not (0 <= q <= one):
         raise ValueError(f"value out of [0,1]: {q}")
     return q
+
+
+def _unit_fraction(v) -> Fraction:
+    """``v`` as a Fraction checked to lie in [0, 1]; a Fraction in that
+    range is returned as it is."""
+    if type(v) is Fraction and 0 <= v <= 1:
+        return v
+    return unit(Fraction(v))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +137,10 @@ class Valuation:
         for atom, v in self.atom_values.items():
             if not isinstance(atom, Atom) or free_vars(atom):
                 raise ValueError(f"atom map keys must be closed atoms: {atom!r}")
-            normalized[normalize_formula(atom, self.sig)] = unit(Fraction(v))
+            normalized[normalize_formula(atom, self.sig)] = _unit_fraction(v)
         self.atom_values = normalized
         self.predicate_defaults = {
-            p: unit(Fraction(v)) for p, v in self.predicate_defaults.items()
+            p: _unit_fraction(v) for p, v in self.predicate_defaults.items()
         }
         if self.unknown is not None:
             self.unknown = normalize_formula(self.unknown, self.sig)
@@ -143,6 +155,9 @@ class Valuation:
         atoms = dict(self.atom_values)
         atoms[self.unknown] = unit(value)
         return replace(self, atom_values=atoms, unknown=None)
+
+
+_Keyed = dict[int, tuple[str, ...]]  # id of a keyed node -> its free variables
 
 
 class _EvalState:
@@ -187,6 +202,17 @@ class _EvalState:
       thirty-second of the recursion limit.
 
     ``constants`` then fills with less, but it stays an exact memo.
+
+    Those conditions make every walk pure as well: it reads no unknown,
+    unfolds nothing, creates no name and spends no budget, so a node's
+    value depends on nothing but the values of its own free variables.
+    ``keyed`` (from ``_shape``) then maps each node whose free variables
+    are a strict subset of the variables bound above it to those free
+    variables, and ``memo`` keeps the value of each such node per binding
+    of them: ``Ex x Ex y (P(x) -> Q(y))`` walks ``P(x)`` once per instance
+    of ``x``, not once per pair.  Only such a node can be reached twice
+    under one binding of its own variables.  ``stops_early`` is set
+    exactly when ``keyed`` is given; without it there is no memo.
     """
 
     __slots__ = (
@@ -195,13 +221,18 @@ class _EvalState:
         "unfolds_left",
         "constants",
         "valuation_terms",
+        "keyed",
+        "memo",
     )
 
-    def __init__(self, valuation: Valuation, stops_early: bool = False) -> None:
+    def __init__(self, valuation: Valuation, keyed: Optional[_Keyed] = None) -> None:
         self.valuation = valuation
-        self.stops_early = stops_early
+        self.stops_early = keyed is not None
         self.unfolds_left = valuation.unfold_budget
         self.constants: dict[Atom, Any] = {}  # closed atom -> lifted value
+        self.keyed = keyed
+        # (id of a keyed node, the values of its free variables) -> its value
+        self.memo: dict[tuple, Any] = {}
         # (normal forms seen, representatives) of the atom-map keys and the
         # unknown; computed at the first quantifier
         self.valuation_terms: Optional[tuple[set[Term], list[Term]]] = None
@@ -327,7 +358,21 @@ def _scaled(valuation: Valuation) -> tuple[ValueAlgebra, int]:
 
 
 def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
-    """Value of ``f`` with its free variables read from ``env``."""
+    """Value of ``f`` with its free variables read from ``env``; a keyed
+    node is walked once per binding of its free variables."""
+    if state.keyed is not None:
+        names = state.keyed.get(id(f))
+        if names is not None:
+            key = (id(f), *[env[x] for x in names])
+            value = state.memo.get(key)
+            if value is None:
+                value = state.memo[key] = _node_value(alg, state, f, env)
+            return value
+    return _node_value(alg, state, f, env)
+
+
+def _node_value(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
+    """Value of ``f`` under ``env`` by its semantic clause."""
     valuation = state.valuation
     if isinstance(f, Atom):
         atom = Atom(f.pred, tuple(substitute_term(a, env) for a in f.args)) if env else f
@@ -368,7 +413,11 @@ def _instances(
     With ``stops_early`` the tail is walked first, and the explicit
     instances only as they are read."""
     env = _without(env, var)
-    vacuous = var not in free_vars(body)
+    if state.keyed is None:
+        vacuous = var not in free_vars(body)
+    else:  # a vacuous binder's body is keyed, since ``var`` is bound above it
+        names = state.keyed.get(id(body))
+        vacuous = names is not None and var not in names
     if state.stops_early or not vacuous:
         # under stops_early a vacuous binder's every instance is the tail
         explicit = () if vacuous else _explicit_values(alg, state, body, var, env)
@@ -406,41 +455,59 @@ def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
     """
     if free_vars(f):
         raise OpenFormulaError(f"not a sentence: {render_formula(f)}")
-    stops_early = alg.one is not None and _skips_are_exact(valuation, f)
-    return _walk(alg, _EvalState(valuation, stops_early), f, {})
+    keyed = _pure_walk_keys(valuation, f) if alg.one is not None else None
+    return _walk(alg, _EvalState(valuation, keyed), f, {})
 
 
-def _skips_are_exact(valuation: Valuation, f: Formula) -> bool:
-    """Whether no instance walk in the sentence ``f`` can raise or create a
-    name, so that walking instances lazily is exact (see ``_EvalState``)."""
+def _pure_walk_keys(valuation: Valuation, f: Formula) -> Optional[_Keyed]:
+    """When no instance walk in the sentence ``f`` can raise or create a
+    name, so that walking instances lazily and once per binding is exact,
+    the memo's keyed nodes (see ``_EvalState``); otherwise None."""
     const_weight = constant_weight(valuation.sig)
     if valuation.unknown is not None or not const_weight:
-        return False
+        return None
     args: list[Term] = []
-    depth, binders, truth = _shape(f, args)
+    keyed: _Keyed = {}
+    depth, binders, truth, _ = _shape(f, args, frozenset(), keyed)
     if not binders or (truth and valuation.transparent):
-        return False
+        return None
     heaviest = max(
         [const_weight]  # the tail constant
         + [term_weight(t, const_weight) for atom in valuation.atom_values for t in atom.args]
     )
     for _ in range(binders + 1):
         heaviest = max([heaviest] + [term_weight(t, const_weight, heaviest) for t in args])
-    return 32 * (depth + heaviest) <= sys.getrecursionlimit()
+    if 32 * (depth + heaviest) > sys.getrecursionlimit():
+        return None
+    return keyed
 
 
-def _shape(f: Formula, args: list[Term]) -> tuple[int, int, bool]:
-    """The depth of ``f``, its deepest nesting of binders and whether it has
-    a truth atom; appends its atom arguments to ``args``."""
+def _shape(
+    f: Formula, args: list[Term], bound: frozenset[str], keyed: _Keyed
+) -> tuple[int, int, bool, frozenset[str]]:
+    """The depth of ``f``, its deepest nesting of binders, whether it has a
+    truth atom, and its free variables.  Appends its atom arguments to
+    ``args``, and keys each node whose free variables are a strict subset
+    of ``bound``, the variables bound above it: ``keyed`` maps its id to
+    its free variables."""
     if isinstance(f, Atom):
         args.extend(f.args)
-        return 1, 0, f.pred == "T"
-    if isinstance(f, Cond):
-        d1, b1, t1 = _shape(f.lhs, args)
-        d2, b2, t2 = _shape(f.rhs, args)
-        return 1 + max(d1, d2), max(b1, b2), t1 or t2
-    depth, binders, truth = _shape(f.body, args)
-    return 1 + depth, binders + isinstance(f, Exists), truth
+        # in a sentence, what no binder is above has no free variable
+        free = frozenset().union(*map(term_vars, f.args)) if bound else frozenset()
+        shape = 1, 0, f.pred == "T", free
+    elif isinstance(f, Cond):
+        d1, b1, t1, v1 = _shape(f.lhs, args, bound, keyed)
+        d2, b2, t2, v2 = _shape(f.rhs, args, bound, keyed)
+        shape = 1 + max(d1, d2), max(b1, b2), t1 or t2, v1 | v2
+    elif isinstance(f, Neg):
+        depth, binders, truth, free = _shape(f.body, args, bound, keyed)
+        shape = 1 + depth, binders, truth, free
+    else:
+        depth, binders, truth, free = _shape(f.body, args, bound | {f.var}, keyed)
+        shape = 1 + depth, binders + 1, truth, free - {f.var}
+    if shape[3] < bound:
+        keyed[id(f)] = tuple(shape[3])
+    return shape
 
 
 def eval_formula(valuation: Valuation, f: Formula) -> Fraction:

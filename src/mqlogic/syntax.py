@@ -874,32 +874,22 @@ def enumerate_closed_terms(sig: Signature, n: int) -> list[Term]:
 # Parsing
 
 
+# Whitespace matches no token, so ``finditer`` skips it; every other
+# character starts a token, if only a ``bad`` one.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<darrow>=>)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<num>\d+)|(?P<sym>[~(),=])|(?P<bad>\S))"
+    r"(?P<arrow>->)|(?P<darrow>=>)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+    r"|(?P<num>\d+)|(?P<sym>[~(),=])|(?P<bad>\S)"
 )
 
-
-@dataclass(slots=True)
-class _Tok:
-    kind: str
-    text: str
-    pos: int
+_Token = tuple[str, str, int]  # kind, text, position
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not m.lastgroup:
-            break
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character '{m.group('bad')}'", m.start("bad"))
-        if m.lastgroup is None:
-            break
-        toks.append(_Tok(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, in one pass of the token pattern."""
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, tok, pos in toks:
+        if kind == "bad":
+            raise ParseError(f"unexpected character '{tok}'", pos)
     return toks
 
 
@@ -922,20 +912,23 @@ class _Parser:
         self.open_quotes = open_quotes
         self.lenient = lenient
 
-    def peek(self) -> Optional[_Tok]:
+    def peek(self) -> Optional[_Token]:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self) -> _Tok:
+    def peek_text(self) -> Optional[str]:
+        return self.toks[self.i][1] if self.i < len(self.toks) else None
+
+    def next(self) -> _Token:
         t = self.peek()
         if t is None:
             raise ParseError("unexpected end of input", len(self.text))
         self.i += 1
         return t
 
-    def expect(self, text: str) -> _Tok:
+    def expect(self, text: str) -> _Token:
         t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected '{text}' but found '{t.text}'", t.pos)
+        if t[1] != text:
+            raise ParseError(f"expected '{text}' but found '{t[1]}'", t[2])
         return t
 
     def whole(self, parse: Callable[[], _T]) -> _T:
@@ -943,7 +936,7 @@ class _Parser:
         result = parse()
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"trailing input '{tok.text}'", tok.pos)
+            raise ParseError(f"trailing input '{tok[1]}'", tok[2])
         return result
 
     # formula := cond
@@ -951,8 +944,7 @@ class _Parser:
     # unary   := '~' unary | 'Ex' var? unary | atom | '(' formula ')'
     def formula(self) -> Formula:
         lhs = self.unary()
-        t = self.peek()
-        if t is not None and t.kind == "arrow":
+        if self.peek_text() == "->":
             self.next()
             return Cond(lhs, self.formula())
         return lhs
@@ -961,35 +953,35 @@ class _Parser:
         t = self.peek()
         if t is None:
             raise ParseError("expected a formula", len(self.text))
-        if t.text == "~":
+        kind, text, pos = t
+        if text == "~":
             self.next()
             return Neg(self.unary())
-        if t.kind == "ident" and t.text == "Ex":
+        if kind == "ident" and text == "Ex":
             self.next()
             return self.quantified()
-        if t.text == "(":
+        if text == "(":
             self.next()
             f = self.formula()
             self.expect(")")
             return f
-        if t.kind == "ident":
+        if kind == "ident":
             return self.atom()
-        raise ParseError(f"unexpected token '{t.text}' in formula", t.pos)
+        raise ParseError(f"unexpected token '{text}' in formula", pos)
 
     def quantified(self) -> Formula:
         t = self.peek()
         if t is None:
             raise ParseError("expected a variable or formula after 'Ex'", len(self.text))
+        kind, var, pos = t
         # the identifier after 'Ex' is the binder unless it is a declared
         # predicate (then the binder was omitted and defaults to x)
-        var = "x"
-        is_body_start = (
-            t.kind != "ident" or self.sig.predicate_arity(t.text) is not None
-        )
-        if not is_body_start:
-            var = self.next().text
+        if kind != "ident" or self.sig.predicate_arity(var) is not None:
+            var = "x"
+        else:
+            self.next()
             if self.sig.is_constant(var) or self.sig.function_arity(var) is not None:
-                raise ParseError(f"cannot bind declared symbol '{var}'", t.pos)
+                raise ParseError(f"cannot bind declared symbol '{var}'", pos)
         was_bound = var in self.bound
         self.bound.add(var)
         try:
@@ -1000,11 +992,10 @@ class _Parser:
         return Exists(var, body)
 
     def atom(self) -> Formula:
-        t = self.next()
-        name, pos = t.text, t.pos
+        _, name, pos = self.next()
         arity = self.sig.predicate_arity(name)
         args: tuple[Term, ...] = ()
-        if self.peek() is not None and self.peek().text == "(":
+        if self.peek_text() == "(":
             args = self.term_args()
         if arity is None:
             if not self.lenient:
@@ -1020,23 +1011,22 @@ class _Parser:
     def term_args(self) -> tuple[Term, ...]:
         self.expect("(")
         args: list[Term] = []
-        if self.peek() is not None and self.peek().text != ")":
+        if self.peek_text() not in (None, ")"):
             args.append(self.term())
-            while self.peek() is not None and self.peek().text == ",":
+            while self.peek_text() == ",":
                 self.next()
                 args.append(self.term())
         self.expect(")")
         return tuple(args)
 
     def term(self) -> Term:
-        t = self.next()
-        if t.kind == "num":
+        kind, name, pos = self.next()
+        if kind == "num":
             if not self.sig.has_arithmetic:
-                raise ParseError("numerals require arithmetic in the signature", t.pos)
-            return Numeral(int(t.text))
-        if t.kind != "ident":
-            raise ParseError(f"expected a term, found '{t.text}'", t.pos)
-        name, pos = t.text, t.pos
+                raise ParseError("numerals require arithmetic in the signature", pos)
+            return Numeral(int(name))
+        if kind != "ident":
+            raise ParseError(f"expected a term, found '{name}'", pos)
         if name == "quote":
             self.expect("(")
             body = self.formula()
@@ -1045,7 +1035,7 @@ class _Parser:
             if free and not self.open_quotes:
                 raise ParseError(f"quote of an open formula: '{min(free)}' is free", pos)
             return Quote(body) if free else self.sig.name_of(body)
-        if self.peek() is not None and self.peek().text == "(":
+        if self.peek_text() == "(":
             arity = self.sig.function_arity(name)
             args = self.term_args()
             if arity is None:

@@ -658,6 +658,33 @@ class TestSlotTable:
         at = checker._slot_forms(fam)
         assert [at(s) for s in range(3)] == [_q(a), _q(q0), _q(fa)]
 
+    # normalising g(t) names P(t): a new constant that moves the enumeration
+    QUOTING_SIG = "const a\nfun g/1\nfun h/1\npred P/1\npred Q/1\nrewrite g(x) => quote(P(x))\n"
+    # SLOT_PAST_TERMS over Q: Ex x Q(x) |- Q(n)[n>=0] from Q(n) |- Q(n)
+    EXISTS_LEFT_OVER_Q = json.loads(json.dumps(SLOT_PAST_TERMS).replace("P(", "Q("))
+
+    @pytest.mark.parametrize("depth", [2, 4, 8])
+    @pytest.mark.parametrize("rules", ["quoting", "rule-free"])
+    def test_names_created_mid_check_move_spot_checks_and_slots_alike(self, depth, rules):
+        sig_text = self.QUOTING_SIG
+        if rules == "rule-free":
+            sig_text = sig_text.replace("rewrite g(x) => quote(P(x))\n", "")
+        sig = load_signature(sig_text)
+        for _ in range(2):  # a fresh signature, then the same one reused
+            data = self.EXISTS_LEFT_OVER_Q
+            report = check_derivation(derivation_from_json(data, sig), sig, MULTIPLICATIVE, depth)
+            assert report.ok, [n.message for n in report.per_node if not n.ok]
+        assert (len(sig.constants) > 1) == (rules == "quoting")
+
+    @pytest.mark.parametrize("depth", [2, 4, 8])
+    def test_names_created_mid_check_keep_exists_right_covered(self, depth):
+        sig = load_signature(self.QUOTING_SIG)
+        premise = Sequent.make(sig, suc_families=[FormulaFamily("n", 0, _q(Var("n")))])
+        conclusion = Sequent.make(sig, suc=[(Exists("x", _q(Var("x"))), 1)])
+        for _ in range(2):
+            verdict = check_instance(sig, "ExistsRw", [premise], conclusion, depth=depth)
+            assert verdict == Verdict(True)
+
 
 def _q(t):
     return Atom("Q", (t,))

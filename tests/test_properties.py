@@ -626,6 +626,23 @@ class TestScaledEvaluation:
     @example(({"P(a)": F(1, 2)}, (F(0), F(0))), "Ex x (Q(b))", 64)
     @example(({"Q(b)": F(1, 3)}, (F(0), F(0))), "Ex x (Q(b))", 64)
     @example(({"P(a)": F(1, 2)}, (F(0), F(0))), "Ex y (Ex x (P(a)))", 64)
+    # a memoised node under two binders, keyed by the outer variable (then
+    # by the inner one): the tail instance, walked first, has value 0, so
+    # a key without that variable reads 0 for P(a) (Q(a)); sup 1/3, sum 1
+    @example(
+        ({"P(a)": F(1, 3), "Q(a)": F(1, 5)}, (F(0), F(0))),
+        "Ex x (Ex y (~((P(x) -> Q(y)))))",
+        64,
+    )
+    @example(
+        ({"P(a)": F(1, 3), "Q(a)": F(1, 5)}, (F(0), F(0))),
+        "Ex y (Ex x (~((P(x) -> Q(y)))))",
+        64,
+    )
+    # a keyed body that is not vacuous: P(x) does not mention y
+    @example(({"P(a)": F(1, 3)}, (F(0), F(0))), "Ex y (Ex x (P(x)))", 64)
+    # a shadowing binder: the inner Ex is closed and the outer one vacuous
+    @example(({"P(a)": F(1, 3)}, (F(0), F(0))), "Ex x (Ex x (P(x)))", 64)
     @settings(max_examples=200, deadline=None)
     def test_stopping_early_matches_fraction_walker(self, valuation, text, budget):
         self.compare(TAME_LIAR_SIG, valuation, text, budget)

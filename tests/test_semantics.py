@@ -14,6 +14,7 @@ from mqlogic.semantics import (
     TailSeq,
     UngroundedError,
     Valuation,
+    ValuationError,
     _EvalState,
     _relevant_terms,
     check_lemma1_instance,
@@ -488,3 +489,35 @@ class TestValuationFiles:
 
         with pytest.raises(SemanticsError):
             load_valuation("mode max\n")
+
+
+class TestValuationValues:
+    """Each value is one Fraction in [0, 1]: one already is stays as it is,
+    anything else is coerced and range-checked as before."""
+
+    def test_unit_fractions_are_kept(self, psig):
+        q = F(1, 3)
+        pa = Atom("P", (Const("a"),))
+        v = Valuation(psig, atom_values={pa: q}, predicate_defaults={"P": q})
+        assert v.atom_values[pa] is q and v.predicate_defaults["P"] is q
+
+    def test_other_values_are_coerced(self, psig):
+        pa = Atom("P", (Const("a"),))
+        v = Valuation(psig, atom_values={pa: "1/3"}, predicate_defaults={"P": 1})
+        assert v.atom_values[pa] == F(1, 3) and type(v.atom_values[pa]) is F
+        assert v.predicate_defaults["P"] == 1 and type(v.predicate_defaults["P"]) is F
+
+    @pytest.mark.parametrize("value", [F(4, 3), F(-1, 2), 2, "3/2"])
+    def test_out_of_range_values_raise(self, psig, value):
+        pa = Atom("P", (Const("a"),))
+        with pytest.raises(ValueError, match="value out of"):
+            Valuation(psig, atom_values={pa: value})
+        with pytest.raises(ValueError, match="value out of"):
+            Valuation(psig, predicate_defaults={"P": value})
+
+    @pytest.mark.parametrize(
+        "text", ["mode sum\natom P(a) = 3/2\n", "mode sum\ndefault P = -1/2\n"]
+    )
+    def test_a_bad_value_names_its_line(self, text):
+        with pytest.raises(ValuationError, match="valuation line 2: value out of"):
+            load_valuation(text)

@@ -2,9 +2,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from enumeration_oracle import enumerate_closed_terms_eager
 from rewrite_oracle import normalize_term_outermost
+from token_oracle import tokenize_by_loop
 from mqlogic.syntax import (
     App,
     Atom,
@@ -21,6 +24,7 @@ from mqlogic.syntax import (
     StepBudgetError,
     UnknownSymbolError,
     Var,
+    _tokenize,
     constant_weight,
     enumerate_closed_terms,
     formulas_equal,
@@ -548,3 +552,32 @@ class TestSignatureLoading:
         assert s.predicate_arity("T") == 1
         with pytest.raises(SignatureError):
             s.add_predicate("T", 2)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return (str(e), e.position)
+
+
+class TestTokenizer:
+    """The one-pass tokenizer against the regex loop it replaced."""
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["->", "=>", "-", ">", "=", "~", "(", ")", ",", "Ex", "P", "x'", "a_1",
+                 "0", "42", " ", "  ", "\t", "\n", "\u00a0", "\u0663", "!", "#", "\u00e9", "."]
+            ),
+            max_size=30,
+        ).map("".join)
+        | st.text(max_size=30)
+    )
+    @example("")
+    @example("   ")
+    @example("P(a) ->  ~Q(b) ! R")
+    @example("Ex x (P(x))  \n")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_regex_loop(self, text):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_by_loop, text)
