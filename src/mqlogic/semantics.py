@@ -24,11 +24,12 @@ sum reaches 1, and a sup-mode one reads them all.  It does so only where
 no skipped walk could raise or create a name (``_EvalState``), and walks
 every instance, explicit ones first, everywhere else.
 
-Normal forms are memoised by the signature alone.  An evaluation caches
-its atom values and the valuation's relevant terms and, where it stops
-early, the value of each subformula per binding of its own free
-variables, so a subformula under a binder that it does not mention is
-walked once per instance of the binders it does mention.
+Normal forms are memoised by the signature alone.  An evaluation keeps
+the valuation's relevant terms and, where it stops early, one memo: the
+value of each subformula per binding of its own free variables, so a
+subformula under a binder that it does not mention is walked once per
+instance of the binders it does mention.  Every other atom visit
+resolves its value afresh.
 """
 
 from __future__ import annotations
@@ -50,12 +51,17 @@ from .syntax import (
     Formula,
     Neg,
     Signature,
+    SyntaxError_,
     Term,
+    _IDENT,
     _without,
+    atom_args,
     constant_weight,
+    directives,
     free_vars,
     normalize_formula,
     normalize_term,
+    parse_formula,
     render_formula,
     render_term,
     substitute_term,
@@ -161,27 +167,13 @@ _Keyed = dict[int, tuple[str, ...]]  # id of a keyed node -> its free variables
 
 
 class _EvalState:
-    """What one evaluation carries: the unfolding budget and caches that
+    """What one evaluation carries: the unfolding budget and the memos that
     die with it.  Normal forms come from the signature's memo.
 
-    ``constants`` maps a closed atom to its value in the evaluation's
-    algebra, for atoms that take a value from ``atom_values`` or a
-    predicate default.  That value depends only on the atom's key and on
-    the valuation's maps, which the evaluation does not change.  The key
-    is made of normal forms, which stay fixed: during one evaluation the
-    rules grow only by the code rules of names that ``name_of`` creates,
-    and their new constants occur in no earlier term (``Signature``).
-    Nor can such an atom start to unfold later, since a name created
-    later is a constant that its key does not contain.  The unknown is
-    never stored, so it reaches ``alg.unknown`` at every visit.  A truth
-    atom that unfolds is never stored either: every visit must spend one
-    unit of the unfolding budget and walk the named sentence, so that the
-    budget runs out at the same atom as without the memo.
-
-    With ``stops_early`` set, an existential walks its tail first and its
+    With ``keyed`` given, an existential walks its tail first and its
     explicit instances only as ``exists_value`` reads them (see
     ``_instances``), so a sum-mode one skips the walks its value no longer
-    depends on.  ``evaluate`` sets it only when a skipped or reordered
+    depends on.  ``evaluate`` gives it only when a skipped or reordered
     walk could neither raise nor change what a later walk sees, so that
     the values, the errors and the names created are those of walking
     every instance, explicit ones first:
@@ -201,35 +193,23 @@ class _EvalState:
       renders; that bound plus the sentence's depth must stay under a
       thirty-second of the recursion limit.
 
-    ``constants`` then fills with less, but it stays an exact memo.
-
     Those conditions make every walk pure as well: it reads no unknown,
     unfolds nothing, creates no name and spends no budget, so a node's
     value depends on nothing but the values of its own free variables.
-    ``keyed`` (from ``_shape``) then maps each node whose free variables
-    are a strict subset of the variables bound above it to those free
+    ``keyed`` (from ``_shape``) maps each node whose free variables are a
+    strict subset of the variables bound above it to those free
     variables, and ``memo`` keeps the value of each such node per binding
     of them: ``Ex x Ex y (P(x) -> Q(y))`` walks ``P(x)`` once per instance
     of ``x``, not once per pair.  Only such a node can be reached twice
-    under one binding of its own variables.  ``stops_early`` is set
-    exactly when ``keyed`` is given; without it there is no memo.
+    under one binding of its own variables.  Without ``keyed`` there is
+    no memo, and every instance is walked, explicit ones first.
     """
 
-    __slots__ = (
-        "valuation",
-        "stops_early",
-        "unfolds_left",
-        "constants",
-        "valuation_terms",
-        "keyed",
-        "memo",
-    )
+    __slots__ = ("valuation", "unfolds_left", "valuation_terms", "keyed", "memo")
 
     def __init__(self, valuation: Valuation, keyed: Optional[_Keyed] = None) -> None:
         self.valuation = valuation
-        self.stops_early = keyed is not None
         self.unfolds_left = valuation.unfold_budget
-        self.constants: dict[Atom, Any] = {}  # closed atom -> lifted value
         self.keyed = keyed
         # (id of a keyed node, the values of its free variables) -> its value
         self.memo: dict[tuple, Any] = {}
@@ -241,21 +221,6 @@ class _EvalState:
         """``normalize_formula`` of a closed atom."""
         sig = self.valuation.sig
         return Atom(atom.pred, tuple(normalize_term(t, sig) for t in atom.args))
-
-
-def _bound_args(f: Formula, env: Env) -> Iterator[Term]:
-    """The atom arguments of ``f`` under ``env``; a nested binder shields
-    its variable, as ``_subst`` stops at it."""
-    if isinstance(f, Atom):
-        for arg in f.args:
-            yield substitute_term(arg, env)
-    elif isinstance(f, Neg):
-        yield from _bound_args(f.body, env)
-    elif isinstance(f, Cond):
-        yield from _bound_args(f.lhs, env)
-        yield from _bound_args(f.rhs, env)
-    elif isinstance(f, Exists):
-        yield from _bound_args(f.body, _without(env, f.var))
 
 
 def _visit(
@@ -289,7 +254,7 @@ def _relevant_terms(state: _EvalState, body: Formula, env: Env) -> list[Term]:
         state.valuation_terms = (seen, out)
     seen, out = state.valuation_terms
     seen, out = set(seen), list(out)
-    _visit(state, _bound_args(body, env), seen, out)
+    _visit(state, atom_args(body, env), seen, out)
     out.sort(key=render_term)
     return out
 
@@ -376,9 +341,6 @@ def _node_value(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
     valuation = state.valuation
     if isinstance(f, Atom):
         atom = Atom(f.pred, tuple(substitute_term(a, env) for a in f.args)) if env else f
-        value = state.constants.get(atom)
-        if value is not None:
-            return value
         key = state.atom_key(atom)
         if valuation.unknown is not None and key == valuation.unknown:
             return alg.unknown()
@@ -392,9 +354,7 @@ def _node_value(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
                 state.unfolds_left -= 1
                 return _walk(alg, state, named, {})
         q = valuation.atom_values.get(key)
-        q = valuation.default_of(f.pred) if q is None else q
-        value = state.constants[atom] = alg.constant(q)
-        return value
+        return alg.constant(valuation.default_of(f.pred) if q is None else q)
     if isinstance(f, Neg):
         return alg.neg(_walk(alg, state, f.body, env))
     if isinstance(f, Cond):
@@ -410,18 +370,18 @@ def _instances(
 ) -> tuple[Iterable, Any]:
     """The values of the instances of ``Ex var body`` under ``env``: one
     per relevant term, and the common value of every other instance.
-    With ``stops_early`` the tail is walked first, and the explicit
-    instances only as they are read."""
+    With ``keyed`` the tail is walked first, and the explicit instances
+    only as they are read."""
     env = _without(env, var)
     if state.keyed is None:
         vacuous = var not in free_vars(body)
     else:  # a vacuous binder's body is keyed, since ``var`` is bound above it
         names = state.keyed.get(id(body))
         vacuous = names is not None and var not in names
-    if state.stops_early or not vacuous:
-        # under stops_early a vacuous binder's every instance is the tail
+    if state.keyed is not None or not vacuous:
+        # with ``keyed`` a vacuous binder's every instance is the tail
         explicit = () if vacuous else _explicit_values(alg, state, body, var, env)
-        if not state.stops_early:
+        if state.keyed is None:
             explicit = list(explicit)
         return explicit, _walk(alg, state, body, {**env, var: _TAIL_CONST})
     # A vacuous binder: every instance is the same walk.  Walk once and
@@ -577,12 +537,7 @@ def eval_succedent(valuation: Valuation, delta: SequentSide) -> Fraction:
 
 def sequent_sound(valuation: Valuation, s: Sequent) -> bool:
     """Whether antecedent value <= succedent value under the valuation."""
-    alg, one = _scaled(valuation)
-    return value_sequent_sound(
-        _side_values(valuation, s.ant, alg, one),
-        _side_values(valuation, s.suc, alg, one),
-        one,
-    )
+    return eval_antecedent(valuation, s.ant) <= eval_succedent(valuation, s.suc)
 
 
 # ---------------------------------------------------------------------------
@@ -663,27 +618,29 @@ def load_valuation(text: str, sig: Optional[Signature] = None) -> Valuation:
     """Load a valuation from its text format.
 
     Lines: ``mode sum|sup``, ``default P = p/q``, ``atom P(a) = p/q``,
-    ``transparent on|off``, ``unknown T(l)``.  Blank lines and ``#``
-    comments are ignored.  Without an explicit signature, symbols are
-    inferred from use (atoms declare predicates, bare identifiers become
-    constants).
+    ``transparent on|off``, ``unknown T(l)`` (at most once).  Blank lines
+    and ``#`` comments are ignored.  Without an explicit signature, symbols
+    are inferred from use (atoms declare predicates, bare identifiers
+    become constants); with one, a default names a declared predicate.
     """
-    from .syntax import parse_formula  # local import to avoid cycle noise
-
     lenient = sig is None
-    if sig is None:
-        sig = Signature()
+    sig = Signature() if lenient else sig
     mode = SUM
     atom_values: dict[Formula, Fraction] = {}
     defaults: dict[str, Fraction] = {}
     transparent = False
     unknown: Optional[Formula] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+
+    def read_atom(text: str, directive: str) -> Formula:
+        try:
+            atom = parse_formula(text, sig, lenient=lenient)
+        except SyntaxError_ as e:
+            raise ValueError(f"{e} in '{text}'") from e
+        if not isinstance(atom, Atom):
+            raise ValueError(f"{directive} takes a single atom")
+        return atom
+
+    for lineno, head, rest in directives(text):
         try:
             if head == "mode":
                 if rest not in (SUP, SUM):
@@ -691,21 +648,24 @@ def load_valuation(text: str, sig: Optional[Signature] = None) -> Valuation:
                 mode = rest
             elif head == "default":
                 pred, _, value = rest.partition("=")
-                defaults[pred.strip()] = unit(Fraction(value.strip()))
+                pred = pred.strip()
+                if not _IDENT.match(pred):
+                    raise ValueError(f"default takes a predicate name, not '{pred}'")
+                if not lenient and sig.predicate_arity(pred) is None:
+                    raise ValueError(f"unknown predicate '{pred}'")
+                defaults[pred] = unit(Fraction(value.strip()))
             elif head == "atom":
                 atom_text, _, value = rest.partition("=")
-                atom = parse_formula(atom_text.strip(), sig, lenient=lenient)
-                if not isinstance(atom, Atom):
-                    raise ValueError("atom lines take a single atom")
+                atom = read_atom(atom_text.strip(), "atom")
                 atom_values[atom] = unit(Fraction(value.strip()))
             elif head == "transparent":
                 if rest not in ("on", "off"):
                     raise ValueError("transparent takes on|off")
                 transparent = rest == "on"
             elif head == "unknown":
-                unknown = parse_formula(rest, sig, lenient=lenient)
-                if not isinstance(unknown, Atom):
-                    raise ValueError("unknown takes a single atom")
+                if unknown is not None:
+                    raise ValueError("a second unknown line")
+                unknown = read_atom(rest, "unknown")
             else:
                 raise ValueError(f"unknown directive '{head}'")
         except (ValueError, ZeroDivisionError) as e:

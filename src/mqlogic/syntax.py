@@ -145,25 +145,6 @@ def term_is_closed(t: Term) -> bool:
     return not term_vars(t)
 
 
-def quote_arg_terms(q: Quote) -> tuple[Term, ...]:
-    """All atom-argument terms inside a quoted formula (free positions)."""
-    acc: list[Term] = []
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            acc.extend(f.args)
-        elif isinstance(f, Neg):
-            walk(f.body)
-        elif isinstance(f, Cond):
-            walk(f.lhs)
-            walk(f.rhs)
-        elif isinstance(f, Exists):
-            walk(f.body)
-
-    walk(q.body)
-    return tuple(acc)
-
-
 def free_vars(f: Formula) -> set[str]:
     """Free variables of a formula; empty iff the formula is a sentence."""
     if isinstance(f, Atom):
@@ -226,16 +207,19 @@ def _subst(f: Formula, env: Env) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def term_depth(t: Term) -> int:
-    if isinstance(t, (Var, Const)):
-        return 1
-    if isinstance(t, Numeral):
-        return t.value + 1
-    if isinstance(t, App):
-        return 1 + max((term_depth(a) for a in t.args), default=0)
-    if isinstance(t, Quote):
-        return 1
-    raise TypeError(f"not a term: {t!r}")
+def atom_args(f: Formula, env: Env) -> Iterator[Term]:
+    """The atom arguments of ``f`` under ``env``; a nested binder shields
+    its variable, as ``_subst`` stops at it."""
+    if isinstance(f, Atom):
+        for arg in f.args:
+            yield substitute_term(arg, env)
+    elif isinstance(f, Neg):
+        yield from atom_args(f.body, env)
+    elif isinstance(f, Cond):
+        yield from atom_args(f.lhs, env)
+        yield from atom_args(f.rhs, env)
+    elif isinstance(f, Exists):
+        yield from atom_args(f.body, _without(env, f.var))
 
 
 def term_weight(t: Term, const_weight: int, var_weight: int = 1) -> int:
@@ -560,7 +544,7 @@ def _root_and_args(sig: Signature, t: Term) -> tuple[str, tuple[Term, ...]]:
             return "#succ", t.args
         return t.fn, t.args
     if isinstance(t, Quote):
-        return "#const", quote_arg_terms(t)
+        return "#const", tuple(atom_args(t.body, {}))
     raise TypeError(f"unexpected pattern term: {t!r}")
 
 
@@ -851,22 +835,23 @@ def enumerate_closed_terms(sig: Signature, n: int) -> list[Term]:
     terms: list[Term] = [
         Numeral(0) if c == sig.zero else Const(c) for c in sig.constants
     ][:n]
-    depth = 1
+    last = 0  # the index of the first term of the last depth
     while len(terms) < n:
         # The next depth: every argument tuple with an argument at the last
-        # depth.  ``terms`` is in enumeration order, so ``product`` yields
-        # the next depth in that order too, and only the terms wanted are built.
-        known = tuple(terms)
+        # depth, the terms from ``last`` on.  ``terms`` is in enumeration
+        # order, so ``product`` yields the next depth in that order too, and
+        # only the terms wanted are built.
+        known = tuple(enumerate(terms))
         fresh = (
-            _canon(sig, App(fn, args))
+            _canon(sig, App(fn, tuple(t for _, t in args)))
             for fn, arity in sig.functions
             for args in product(known, repeat=arity)
-            if any(term_depth(a) == depth for a in args)
+            if max(i for i, _ in args) >= last
         )
         terms.extend(islice(fresh, n - len(terms)))
         if len(terms) == len(known):
             break  # finite language
-        depth += 1
+        last = len(known)
     return terms
 
 
@@ -1082,6 +1067,17 @@ def parse_term(text: str, sig: Signature) -> Term:
     return p.whole(p.term)
 
 
+def directives(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, head, rest) of each directive line of ``text``: ``#``
+    comments are dropped, blank lines skipped, and the head is the line's
+    first word."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, _, rest = line.partition(" ")
+            yield lineno, head, rest.strip()
+
+
 def load_signature(text: str) -> Signature:
     """Load a signature from its declarative text format.
 
@@ -1092,12 +1088,7 @@ def load_signature(text: str) -> Signature:
     sig = Signature()
     pending_names: list[tuple[str, str, int]] = []
     pending_rules: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in directives(text):
         try:
             if head == "const":
                 sig.add_constant(rest)

@@ -8,12 +8,25 @@ from mqlogic.syntax import (
     App,
     Const,
     Numeral,
+    Quote,
     Signature,
     SignatureError,
     Term,
+    Var,
     _canon,
-    term_depth,
 )
+
+
+def term_depth(t: Term) -> int:
+    if isinstance(t, (Var, Const)):
+        return 1
+    if isinstance(t, Numeral):
+        return t.value + 1
+    if isinstance(t, App):
+        return 1 + max((term_depth(a) for a in t.args), default=0)
+    if isinstance(t, Quote):
+        return 1
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _fn_index(sig: Signature, fn: str) -> int:

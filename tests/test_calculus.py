@@ -600,6 +600,81 @@ class TestFamilySlots:
         assert report.family_spot_checks == [("root", 0, False)]
 
 
+def _slot_past_terms_with(template_seq=None, **family):
+    data = json.loads(json.dumps(SLOT_PAST_TERMS))
+    if template_seq is not None:
+        data["family"]["template"]["seq"] = template_seq
+    data["family"].update(family)
+    return data
+
+
+# an explicit slot or a template whose succedent holds a family
+NESTED_FAMILY = {"var": "m", "start": 0, "formula": "P(m)"}
+
+
+class TestFamilyStructure:
+    """Each way a family's structure can be ill-formed fails its node with
+    its own message."""
+
+    @pytest.mark.parametrize(
+        "sig_text, data, path, message",
+        [
+            (
+                OPEN_SIG,
+                _slot_past_terms_with({"ant": [["Ex n P(n)", 1]], "suc": [["Ex n P(n)", 1]]}),
+                "root",
+                "family index 'n' rebound by a quantifier in the template",
+            ),
+            (
+                OPEN_SIG,
+                {"seq": {"ant": [["P(a)", 1]], "suc": [["P(a)", 1]]}, "rule": "Init",
+                 "premises": [{"slotRef": 1}]},
+                "root",
+                "slot reference outside a family template",
+            ),
+            (
+                "pred B/0\npred T/1\nname t = T(t)\n",
+                TestSlotReferences.truth_teller_json(1),
+                "root.fam[0]",
+                "slot reference before the first slot",
+            ),
+            (
+                OPEN_SIG,
+                _slot_past_terms_with(
+                    {"ant": [["P(n)", 1]], "suc": [["P(n)", 1]], "sucFams": [NESTED_FAMILY]}
+                ),
+                "root",
+                "nested families in a premise template",
+            ),
+            (
+                OPEN_SIG,
+                _slot_past_terms_with(start=1, explicit=[{
+                    "seq": {"ant": [["P(a)", 1]], "suc": [], "sucFams": [NESTED_FAMILY]},
+                    "rule": "Init",
+                }]),
+                "root",
+                "explicit premise slots must be family-free",
+            ),
+            (
+                OPEN_SIG,
+                _slot_past_terms_with({"ant": [["P(n)", 1]], "suc": [["P(n)", "w"]]}),
+                "root",
+                "index-dependent context needs finite multiplicity",
+            ),
+        ],
+        ids=[
+            "rebound-index", "slot-ref-outside", "slot-ref-before-first",
+            "nested-template", "explicit-slot-family", "omega-index-context",
+        ],
+    )
+    def test_fails_its_node(self, sig_text, data, path, message):
+        sig = load_signature(sig_text)
+        report = check_derivation(derivation_from_json(data, sig), sig)
+        assert not report.ok
+        failed = report.per_node[-1]
+        assert (failed.path, failed.ok, failed.message) == (path, False, message)
+
+
 class TestSlotTable:
     """One check normalises each family-slot instance once and keeps it in
     a table keyed by the family and the signature's constant count."""

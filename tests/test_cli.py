@@ -103,6 +103,10 @@ class TestEval:
             "limit 3",
             "atom P(a) = 3/2",
             "default P = 2",
+            "default  = 1/2",
+            "default P x = 1/2",
+            "atom P(a = 1/2",
+            "unknown P(",
         ],
         ids=[
             "mode",
@@ -111,6 +115,10 @@ class TestEval:
             "unknown-directive",
             "atom-out-of-range",
             "default-out-of-range",
+            "default-without-predicate",
+            "default-of-two-words",
+            "atom-parse-error",
+            "unknown-parse-error",
         ],
     )
     def test_malformed_valuation_exit_2(self, capsys, tmp_path, line):
@@ -118,6 +126,24 @@ class TestEval:
         v.write_text(f"default P = 1/2\n{line}\n")
         assert main(["eval", "-v", str(v), "-f", "P(a)"]) == 2
         assert "valuation line 2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("default Q = 1/2\n", "valuation line 2: unknown predicate 'Q'"),
+            ("atom Q(a) = 1/2\n", "valuation line 2: unknown symbol 'Q' (at position 0) in 'Q(a)'"),
+            ("atom P(a = 1/2\n", "valuation line 2: unexpected end of input (at position 3) in 'P(a'"),
+            ("unknown P(a)\nunknown P(b)\n", "valuation line 3: a second unknown line"),
+        ],
+        ids=["undeclared-default", "undeclared-atom", "atom-parse-error", "second-unknown"],
+    )
+    def test_malformed_valuation_over_a_signature_exit_2(self, capsys, tmp_path, text, message):
+        sig = tmp_path / "p.sig"
+        sig.write_text("pred P/1\nconst a\nconst b\n")
+        v = tmp_path / "bad.val"
+        v.write_text(f"default P = 1/2\n{text}")
+        assert main(["eval", "-v", str(v), "--sig", str(sig), "-f", "P(a)"]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_empty_valuation_path_exit_2(self, capsys):
         assert main(["eval", "-v", "", "-f", "P(a)"]) == 2

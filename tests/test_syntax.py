@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enumeration_oracle import enumerate_closed_terms_eager
+from enumeration_oracle import enumerate_closed_terms_eager, term_depth
 from rewrite_oracle import normalize_term_outermost
 from token_oracle import tokenize_by_loop
 from mqlogic.syntax import (
@@ -247,8 +247,6 @@ class TestEnumeration:
         assert len(set(big)) == len(big)
         # every term of depth <= 3 appears exactly once
         def depth_le(t, d):
-            from mqlogic.syntax import term_depth
-
             return term_depth(t) <= d
 
         shallow = [t for t in big if depth_le(t, 3)]
