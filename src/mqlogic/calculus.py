@@ -490,6 +490,8 @@ class _RuleChecker:
                 )
             if var in term_vars(p):
                 return False
+            if term_vars(p) or term_vars(s):  # a variable bound inside the body
+                return p == s
             return normalize_term(p, self.sig) == normalize_term(s, self.sig)
 
         def walk(p: Formula, s: Formula) -> bool:

@@ -5,18 +5,22 @@ Used to evaluate a sentence as a function of a single undetermined atom
 exactly.  Pieces partition [0, 1]; degenerate single-point pieces are
 first-class because divergence boundaries produce isolated points.
 
-Every clause that cuts a piece (the clamp at 1, the divergence of a
-series) cuts it with ``_split`` at the point where an affine part crosses
-its threshold and chooses per part by the side of that point it lies on
-(``_cut``); ``_merge`` then joins two contiguous pieces whenever one
-affine part describes both.
+There is no second copy of the value clauses here.  ``eval_parametric``
+runs ``semantics.evaluate`` with the unknown as an affine value a*v + b
+on one cell of [0, 1] (``_Affine``), so negation, the conditional and
+the sum quantifier are ``neg_value``, ``cond_value`` and
+``exists_value``.  A comparison whose answer changes inside the cell
+stops the run at that point; ``_profile`` splits the cell there with
+``_split`` and runs each part again, and ``_merge`` joins two
+contiguous pieces whenever one affine part describes both.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .semantics import (
     ONE,
@@ -60,19 +64,6 @@ class Interval:
         return f"{lb}{self.lo},{self.hi}{rb}"
 
 
-def intersect(a: Interval, b: Interval) -> Optional[Interval]:
-    if a.lo > b.lo or (a.lo == b.lo and not a.closed_lo):
-        lo, closed_lo = a.lo, a.closed_lo
-    else:
-        lo, closed_lo = b.lo, b.closed_lo
-    if a.hi < b.hi or (a.hi == b.hi and not a.closed_hi):
-        hi, closed_hi = a.hi, a.closed_hi
-    else:
-        hi, closed_hi = b.hi, b.closed_hi
-    out = Interval(lo, hi, closed_lo, closed_hi)
-    return None if out.is_empty() else out
-
-
 @dataclass(frozen=True, slots=True)
 class Piece:
     interval: Interval
@@ -91,14 +82,6 @@ class PiecewiseLinear:
     def __init__(self, pieces: Iterable[Piece]) -> None:
         self.pieces = tuple(pieces)
 
-    @staticmethod
-    def constant(c: Fraction) -> "PiecewiseLinear":
-        return PiecewiseLinear([Piece(Interval(ZERO, ONE, True, True), ZERO, Fraction(c))])
-
-    @staticmethod
-    def identity() -> "PiecewiseLinear":
-        return PiecewiseLinear([Piece(Interval(ZERO, ONE, True, True), ONE, ZERO)])
-
     def at(self, v: Fraction) -> Fraction:
         for p in self.pieces:
             if p.interval.contains(v):
@@ -107,28 +90,6 @@ class PiecewiseLinear:
 
     def __repr__(self) -> str:
         return " ; ".join(f"{p.interval} -> {p.a}*v+{p.b}" for p in self.pieces)
-
-
-def one_minus(f: PiecewiseLinear) -> PiecewiseLinear:
-    return PiecewiseLinear(Piece(p.interval, -p.a, ONE - p.b) for p in f.pieces)
-
-
-def _refine_many(fns: list[PiecewiseLinear]) -> list[tuple[Interval, list[Piece]]]:
-    """Common refinement: intervals of the joint partition with, for each,
-    the affine restriction of every input function."""
-    acc: list[tuple[Interval, list[Piece]]] = [
-        (Interval(ZERO, ONE, True, True), [])
-    ]
-    for fn in fns:
-        nxt: list[tuple[Interval, list[Piece]]] = []
-        for interval, stack in acc:
-            for p in fn.pieces:
-                cut = intersect(interval, p.interval)
-                if cut is not None:
-                    nxt.append((cut, stack + [p]))
-        acc = nxt
-    acc.sort(key=lambda pair: (pair[0].lo, not pair[0].closed_lo, pair[0].hi))
-    return acc
 
 
 def _split(iv: Interval, r: Fraction) -> list[Interval]:
@@ -142,46 +103,6 @@ def _split(iv: Interval, r: Fraction) -> list[Interval]:
         Interval(r, iv.hi, False, iv.closed_hi),
     )
     return [part for part in parts if not part.is_empty()]
-
-
-def _cut(
-    iv: Interval, a: Fraction, b: Fraction, level: Fraction
-) -> list[tuple[Interval, bool]]:
-    """The parts of ``iv`` cut at the point r where a*v + b crosses
-    ``level``, each with whether a*v + b exceeds ``level`` on it.  A part
-    lies on one side of r, so any endpoint other than r decides; the
-    point r itself sits at the level."""
-    if a == 0:
-        return [(iv, b > level)]
-    r = (level - b) / a
-    out = []
-    for part in _split(iv, r):
-        e = part.hi if part.lo == r else part.lo
-        out.append((part, e != r and (e > r) == (a > 0)))
-    return out
-
-
-def add(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
-    return _merge(
-        Piece(iv, pf.a + pg.a, pf.b + pg.b) for iv, (pf, pg) in _refine_many([f, g])
-    )
-
-
-def _clamp_piece(piece: Piece) -> list[Piece]:
-    """Replace the region of a piece where it exceeds 1 with the constant 1.
-
-    The piece is split at its crossing of 1 only when some part exceeds 1;
-    the crossing point itself keeps the affine part (its value is exactly 1).
-    """
-    a, b = piece.a, piece.b
-    parts = _cut(piece.interval, a, b, ONE)
-    if not any(over for _, over in parts):
-        return [piece]
-    return [Piece(part, ZERO, ONE) if over else Piece(part, a, b) for part, over in parts]
-
-
-def clamp_upper(f: PiecewiseLinear) -> PiecewiseLinear:
-    return _merge(q for p in f.pieces for q in _clamp_piece(p))
 
 
 def _shared_part(prev: Piece, p: Piece) -> Optional[Piece]:
@@ -220,39 +141,79 @@ def _merge(pieces: Iterable[Piece]) -> PiecewiseLinear:
     return PiecewiseLinear(canon)
 
 
-def _exists_sum(
-    explicit: list[PiecewiseLinear], tail: PiecewiseLinear
-) -> PiecewiseLinear:
-    """Sum-quantifier combination: clamp(sum over the instance family).
-
-    Each interval of the refinement is split at the tail's root.  Where the
-    tail is positive the series diverges (value 1); where it vanishes the
-    value is the clamped finite sum of the explicit instances.  Isolated
-    tail zeros become degenerate pieces.
-    """
-    pieces: list[Piece] = []
-    for interval, (*instances, tp) in _refine_many(explicit + [tail]):
-        finite_a = sum((p.a for p in instances), ZERO)
-        finite_b = sum((p.b for p in instances), ZERO)
-        for part, diverges in _cut(interval, tp.a, tp.b, ZERO):
-            if diverges:
-                pieces.append(Piece(part, ZERO, ONE))
-            else:
-                pieces.extend(_clamp_piece(Piece(part, finite_a, finite_b)))
-    return _merge(pieces)
-
-
 # ---------------------------------------------------------------------------
 # Parametric evaluation
 
 
-PIECEWISE = ValueAlgebra(
-    constant=PiecewiseLinear.constant,
-    unknown=PiecewiseLinear.identity,
-    neg=one_minus,
-    cond=lambda a, b: clamp_upper(add(one_minus(a), b)),
-    exists=lambda explicit, tail, mode: _exists_sum(explicit, tail),
-)
+class _Changes(Exception):
+    """A comparison's answer changes inside its cell, at the point given."""
+
+
+def _parts(x) -> tuple[Fraction, Fraction]:
+    """(a, b) of an affine value, or (0, x) of a number."""
+    return (x.a, x.b) if type(x) is _Affine else (ZERO, x)
+
+
+class _Affine:
+    """The value a*v + b of the unknown v on one cell of [0, 1]: sums with
+    numbers and with each other, and differences from numbers, stay
+    affine.  A comparison answers for the whole cell, or raises
+    ``_Changes`` at the point inside it where its answer changes; one
+    that only touches a point (``v < 0`` at v = 0) does not raise."""
+
+    __slots__ = ("a", "b", "cell")
+
+    def __init__(self, a: Fraction, b: Fraction, cell: Interval) -> None:
+        self.a, self.b, self.cell = a, b, cell
+
+    def __add__(self, other) -> "_Affine":
+        a, b = _parts(other)
+        return _Affine(self.a + a, self.b + b, self.cell)
+
+    __radd__ = __add__
+
+    def __rsub__(self, other) -> "_Affine":
+        a, b = _parts(other)
+        return _Affine(a - self.a, b - self.b, self.cell)
+
+    def _holds(self, other, test) -> bool:
+        """``test(d, 0)`` for d = self - other, on the whole cell."""
+        a, b = _parts(other)
+        a, b = self.a - a, self.b - b
+        if a == 0:
+            return test(b, 0)
+        r = -b / a
+        iv = self.cell
+        if not iv.contains(r):  # d has the sign of a above r and of -a below
+            return test(a if r <= iv.lo else -a, 0)
+        answer = test(0, 0)
+        if (iv.lo < r and test(-a, 0) != answer) or (r < iv.hi and test(a, 0) != answer):
+            raise _Changes(r)
+        return answer
+
+    __lt__ = lambda self, other: self._holds(other, operator.lt)
+    __le__ = lambda self, other: self._holds(other, operator.le)
+    __gt__ = lambda self, other: self._holds(other, operator.gt)
+    __ge__ = lambda self, other: self._holds(other, operator.ge)
+
+
+def _profile(run: Callable[[_Affine], Any]) -> PiecewiseLinear:
+    """The function v -> run(v) on [0, 1], for a ``run`` that computes
+    its value with the number operations of ``_Affine``.  Each run gets
+    the unknown on one cell; a run stopped by ``_Changes`` is repeated on
+    the parts of its cell below, at and above the point, so each cell
+    ends with one affine part, and ``_merge`` joins the cells."""
+    pieces: list[Piece] = []
+    cells = [Interval(ZERO, ONE, True, True)]
+    while cells:
+        cell = cells.pop()
+        try:
+            value = run(_Affine(ONE, ZERO, cell))
+        except _Changes as e:
+            cells.extend(_split(cell, e.args[0]))
+        else:
+            pieces.append(Piece(cell, *_parts(value)))
+    return _merge(pieces)
 
 
 def eval_parametric(valuation: Valuation, f: Formula) -> PiecewiseLinear:
@@ -262,13 +223,26 @@ def eval_parametric(valuation: Valuation, f: Formula) -> PiecewiseLinear:
     Requires sum-quantifier mode and exactly one designated unknown.
     Evaluating the result at any rational v agrees with eval_formula on
     the valuation with the unknown set to v.
+
+    Each cell is a fresh ``evaluate`` with the unknown as an ``_Affine``
+    value.  With an unknown designated ``evaluate`` never stops early, so
+    which instances are walked, which transparent atoms unfold, which
+    names are created and which errors are raised depend on the sentence
+    and the valuation's maps, never on a value: a repeated run walks what
+    the first run walked, and finds the names the first run created
+    through ``name_of``'s memo.  Only the comparisons in the value clauses
+    read the unknown, and each cell of the result is one on which all of
+    them answer alike, so every point of it takes the same clauses.
     """
     if valuation.unknown is None:
         raise SemanticsError("parametric evaluation needs a designated unknown atom")
     if valuation.mode != SUM:
         raise SemanticsError("parametric evaluation requires sum-quantifier mode")
-    return evaluate(valuation, f, PIECEWISE)
-
+    return _profile(
+        lambda v: evaluate(
+            valuation, f, ValueAlgebra(constant=lambda q: q, unknown=lambda: v, one=ONE)
+        )
+    )
 
 # ---------------------------------------------------------------------------
 # Fixed points

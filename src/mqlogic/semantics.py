@@ -9,13 +9,14 @@ finite sum or diverge and clamp to 1.
 
 Each clause is written once, in a formula walker over a small value
 algebra: ``eval_formula`` and ``sequent_sound`` run it over integer
-numerators and ``piecewise.eval_parametric`` over piecewise-affine
-functions of one unknown atom value.  The value clauses (negation, the
-conditional, the existential, side sums and sequent soundness) take the
-unit ``one``: ``ONE`` for rationals, or an integer scale for integer
-numerators over it.  Every clause maps multiples of 1/scale to multiples
-of 1/scale, so evaluation over the lcm of the valuation's denominators
-(and a sampler over the lcm of what it drew) is exact.
+numerators and ``piecewise.eval_parametric`` over affine functions of
+one unknown atom value, one cell of [0, 1] at a time.  The value clauses
+(negation, the conditional, the existential, side sums and sequent
+soundness) add, subtract and compare, and take the unit ``one``: ``ONE``
+for rationals, or an integer scale for integer numerators over it.
+Every clause maps multiples of 1/scale to multiples of 1/scale, so
+evaluation over the lcm of the valuation's denominators (and a sampler
+over the lcm of what it drew) is exact.
 
 Over integers, an existential walks its tail instance first and its
 explicit instances only as ``exists_value`` reads them: a sum-mode one
@@ -37,7 +38,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -290,18 +290,13 @@ def _no_unknown() -> Fraction:
 @dataclass(frozen=True)
 class ValueAlgebra:
     """What the formula walker needs from a value domain: atom values
-    lifted from rationals, the designated unknown atom, and the clauses
-    for negation, the conditional and the existential.  ``one`` is the
-    unit of a domain of ordered numbers, in which an existential may walk
-    its instances tail first and as it reads them; None walks every
-    instance, explicit ones first."""
+    lifted from rationals, the value of the designated unknown atom, and
+    the unit ``one`` that the value clauses take.  A domain's values mix
+    with plain numbers under +, - and the comparisons."""
 
     constant: Callable[[Fraction], Any]
     unknown: Callable[[], Any]
-    neg: Callable[[Any], Any]
-    cond: Callable[[Any, Any], Any]
-    exists: Callable[[Iterable, Any, str], Any]
-    one: Any = None
+    one: Any
 
 
 def _scaled(valuation: Valuation) -> tuple[ValueAlgebra, int]:
@@ -311,15 +306,8 @@ def _scaled(valuation: Valuation) -> tuple[ValueAlgebra, int]:
         *(q.denominator for q in valuation.atom_values.values()),
         *(q.denominator for q in valuation.predicate_defaults.values()),
     )
-    alg = ValueAlgebra(
-        constant=lambda q: q.numerator * (one // q.denominator),
-        unknown=_no_unknown,
-        neg=partial(neg_value, one=one),
-        cond=partial(cond_value, one=one),
-        exists=partial(exists_value, one=one),
-        one=one,
-    )
-    return alg, one
+    constant = lambda q: q.numerator * (one // q.denominator)
+    return ValueAlgebra(constant, _no_unknown, one), one
 
 
 def _walk(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
@@ -356,12 +344,13 @@ def _node_value(alg: ValueAlgebra, state: _EvalState, f: Formula, env: Env):
         q = valuation.atom_values.get(key)
         return alg.constant(valuation.default_of(f.pred) if q is None else q)
     if isinstance(f, Neg):
-        return alg.neg(_walk(alg, state, f.body, env))
+        return neg_value(_walk(alg, state, f.body, env), alg.one)
     if isinstance(f, Cond):
         a = _walk(alg, state, f.lhs, env)
-        return alg.cond(a, _walk(alg, state, f.rhs, env))
+        return cond_value(a, _walk(alg, state, f.rhs, env), alg.one)
     if isinstance(f, Exists):
-        return alg.exists(*_instances(alg, state, f.body, f.var, env), valuation.mode)
+        explicit, tail = _instances(alg, state, f.body, f.var, env)
+        return exists_value(explicit, tail, valuation.mode, alg.one)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -415,8 +404,7 @@ def evaluate(valuation: Valuation, f: Formula, alg: ValueAlgebra):
     """
     if free_vars(f):
         raise OpenFormulaError(f"not a sentence: {render_formula(f)}")
-    keyed = _pure_walk_keys(valuation, f) if alg.one is not None else None
-    return _walk(alg, _EvalState(valuation, keyed), f, {})
+    return _walk(alg, _EvalState(valuation, _pure_walk_keys(valuation, f)), f, {})
 
 
 def _pure_walk_keys(valuation: Valuation, f: Formula) -> Optional[_Keyed]:
@@ -618,15 +606,17 @@ def load_valuation(text: str, sig: Optional[Signature] = None) -> Valuation:
     """Load a valuation from its text format.
 
     Lines: ``mode sum|sup``, ``default P = p/q``, ``atom P(a) = p/q``,
-    ``transparent on|off``, ``unknown T(l)`` (at most once).  Blank lines
-    and ``#`` comments are ignored.  Without an explicit signature, symbols
-    are inferred from use (atoms declare predicates, bare identifiers
-    become constants); with one, a default names a declared predicate.
+    ``transparent on|off``, ``unknown T(l)``, each at most once (per
+    predicate or per atom's normal form).  Blank lines and ``#`` comments
+    are ignored.  Without an explicit signature, symbols are inferred from
+    use (atoms declare predicates, bare identifiers become constants);
+    with one, a default names a declared predicate.
     """
     lenient = sig is None
     sig = Signature() if lenient else sig
     mode = SUM
     atom_values: dict[Formula, Fraction] = {}
+    atom_lines: list[tuple[Formula, int]] = []
     defaults: dict[str, Fraction] = {}
     transparent = False
     unknown: Optional[Formula] = None
@@ -640,8 +630,13 @@ def load_valuation(text: str, sig: Optional[Signature] = None) -> Valuation:
             raise ValueError(f"{directive} takes a single atom")
         return atom
 
-    for lineno, head, rest in directives(text):
+    once: set[str] = set()  # the heads of the lines given at most once
+    for lineno, head, rest, _ in directives(text):
         try:
+            if head in ("mode", "transparent", "unknown"):
+                if head in once:
+                    raise ValueError(f"a second {head} line")
+                once.add(head)
             if head == "mode":
                 if rest not in (SUP, SUM):
                     raise ValueError(f"mode must be '{SUP}' or '{SUM}'")
@@ -653,24 +648,25 @@ def load_valuation(text: str, sig: Optional[Signature] = None) -> Valuation:
                     raise ValueError(f"default takes a predicate name, not '{pred}'")
                 if not lenient and sig.predicate_arity(pred) is None:
                     raise ValueError(f"unknown predicate '{pred}'")
+                if pred in defaults:
+                    raise ValueError(f"a second default line for '{pred}'")
                 defaults[pred] = unit(Fraction(value.strip()))
             elif head == "atom":
                 atom_text, _, value = rest.partition("=")
                 atom = read_atom(atom_text.strip(), "atom")
                 atom_values[atom] = unit(Fraction(value.strip()))
+                atom_lines.append((atom, lineno))
             elif head == "transparent":
                 if rest not in ("on", "off"):
                     raise ValueError("transparent takes on|off")
                 transparent = rest == "on"
             elif head == "unknown":
-                if unknown is not None:
-                    raise ValueError("a second unknown line")
                 unknown = read_atom(rest, "unknown")
             else:
                 raise ValueError(f"unknown directive '{head}'")
         except (ValueError, ZeroDivisionError) as e:
             raise ValuationError(f"valuation line {lineno}: {e}") from e
-    return Valuation(
+    valuation = Valuation(
         sig,
         mode=mode,
         atom_values=atom_values,
@@ -678,6 +674,15 @@ def load_valuation(text: str, sig: Optional[Signature] = None) -> Valuation:
         transparent=transparent,
         unknown=unknown,
     )
+    if len(valuation.atom_values) < len(atom_lines):  # two lines share a normal form
+        seen: set[Formula] = set()
+        for atom, lineno in atom_lines:
+            key = normalize_formula(atom, sig)
+            if key in seen:
+                msg = f"a second atom line for {render_formula(key)}"
+                raise ValuationError(f"valuation line {lineno}: {msg}")
+            seen.add(key)
+    return valuation
 
 
 def value_to_json(value: Fraction) -> dict:

@@ -1067,15 +1067,16 @@ def parse_term(text: str, sig: Signature) -> Term:
     return p.whole(p.term)
 
 
-def directives(text: str) -> Iterator[tuple[int, str, str]]:
-    """(line number, head, rest) of each directive line of ``text``: ``#``
-    comments are dropped, blank lines skipped, and the head is the line's
-    first word."""
+def directives(text: str) -> Iterator[tuple[int, str, str, int]]:
+    """(line number, head, rest, column of rest in the line) of each
+    directive line of ``text``: ``#`` comments are dropped, blank lines
+    skipped, and the head is the line's first word."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            head, _, rest = line.partition(" ")
-            yield lineno, head, rest.strip()
+        line = raw.split("#", 1)[0].rstrip()
+        head, _, rest = line.lstrip().partition(" ")
+        if head:
+            rest = rest.strip()
+            yield lineno, head, rest, len(line) - len(rest)
 
 
 def load_signature(text: str) -> Signature:
@@ -1086,9 +1087,11 @@ def load_signature(text: str) -> Signature:
     ``#`` comments are ignored.
     """
     sig = Signature()
+    # parsed once every symbol is declared; each text is padded with blanks
+    # to its column, so that parse errors give positions in the line
     pending_names: list[tuple[str, str, int]] = []
-    pending_rules: list[tuple[str, int]] = []
-    for lineno, head, rest in directives(text):
+    pending_rules: list[tuple[str, int, int]] = []
+    for lineno, head, rest, column in directives(text):
         try:
             if head == "const":
                 sig.add_constant(rest)
@@ -1103,12 +1106,13 @@ def load_signature(text: str) -> Signature:
                 sig.add_arithmetic(zero, succ)
             elif head == "name":
                 const, _, formula_text = rest.partition("=")
+                formula_text = " " * (column + len(const) + 1) + formula_text
                 const = const.strip()
                 if const not in sig._symbols:
                     sig.add_constant(const)
-                pending_names.append((const, formula_text.strip(), lineno))
+                pending_names.append((const, formula_text, lineno))
             elif head == "rewrite":
-                pending_rules.append((rest, lineno))
+                pending_rules.append((rest, column, lineno))
             else:
                 raise SignatureError(f"unknown directive '{head}'")
         except SyntaxError_ as e:
@@ -1118,14 +1122,15 @@ def load_signature(text: str) -> Signature:
             sig.declare_name(const, parse_formula(formula_text, sig))
         except SyntaxError_ as e:
             raise SignatureError(f"line {lineno}: {e}") from e
-    for rule_text, lineno in pending_rules:
+    for rule_text, column, lineno in pending_rules:
         lhs_text, sep, rhs_text = rule_text.partition("=>")
         if not sep:
             raise SignatureError(f"line {lineno}: rewrite needs '=>'")
+        rhs_text = " " * (column + len(lhs_text) + 2) + rhs_text
         try:
-            p = _Parser(lhs_text.strip(), sig, open_quotes=True)
+            p = _Parser(" " * column + lhs_text.rstrip(), sig, open_quotes=True)
             lhs = p.whole(p.term)
-            p = _Parser(rhs_text.strip(), sig, open_quotes=True)
+            p = _Parser(rhs_text, sig, open_quotes=True)
             sig.add_rewrite(lhs, p.whole(p.term))
         except SyntaxError_ as e:
             raise SignatureError(f"line {lineno}: {e}") from e

@@ -763,3 +763,81 @@ class TestSlotTable:
 
 def _q(t):
     return Atom("Q", (t,))
+
+
+ARITH_SIG = "arith 0 s\npred P/1\npred Q/1\npred R/2\n"
+
+
+class TestInstanceMatching:
+    """ExistsRw reads instance families and explicit instances by their
+    structure, through every connective of the body."""
+
+    @pytest.mark.parametrize(
+        "body, template",
+        [
+            ("~P(x)", "~P(n)"),
+            ("(P(x) -> Q(x))", "P(n) -> Q(n)"),
+            ("Ex y R(x, y)", "Ex y R(n, y)"),
+        ],
+        ids=["neg", "cond", "exists"],
+    )
+    def test_family_of_instances_through_a_connective(self, body, template):
+        sig = load_signature(ARITH_SIG)
+        family = FormulaFamily("n", 0, parse_formula(template, sig))
+        premise = Sequent.make(sig, suc_families=[family])
+        conclusion = Sequent.make(sig, suc=[(parse_formula(f"Ex x {body}", sig), 1)])
+        assert check_instance(sig, "ExistsRw", [premise], conclusion) == Verdict(True)
+
+    def test_explicit_instance_past_the_spot_check_prefix(self):
+        # the witness 50 is found in the instance itself: no spot-checked
+        # term or small numeral reaches it
+        sig = load_signature(ARITH_SIG)
+        family = FormulaFamily("n", 0, parse_formula("P(n)", sig))
+        premise = Sequent.make(sig, suc=[(parse_formula("P(50)", sig), 1)], suc_families=[family])
+        conclusion = Sequent.make(sig, suc=[(parse_formula("Ex x P(x)", sig), 1)])
+        assert check_instance(sig, "ExistsRw", [premise], conclusion, depth=4) == Verdict(True)
+
+
+# Ex x Ex z R(x, z) |- (Ex y R(n, y))[n>=0], whose template holds a family
+# over m in a premise: each slot instantiates it, and the side it concludes
+NESTED_FAMILIES = {
+    "seq": {
+        "ant": [["Ex x Ex z R(x, z)", 1]],
+        "suc": [],
+        "sucFams": [{"var": "n", "start": 0, "formula": "Ex y R(n, y)"}],
+    },
+    "rule": "ExistsLw",
+    "principal": {"formula": "Ex x Ex z R(x, z)"},
+    "family": {"var": "n", "start": 0, "template": {
+        "seq": {"ant": [["Ex z R(n, z)", 1]], "suc": [["Ex y R(n, y)", 1]]},
+        "rule": "ExistsRw",
+        "premises": [{
+            "seq": {
+                "ant": [["Ex z R(n, z)", 1]],
+                "suc": [],
+                "sucFams": [{"var": "m", "start": 0, "formula": "R(n, m)"}],
+            },
+            "rule": "ExistsLw",
+            "principal": {"formula": "Ex z R(n, z)"},
+            "family": {"var": "m", "start": 0, "template": {
+                "seq": {"ant": [["R(n, m)", 1]], "suc": [["R(n, m)", 1]]}, "rule": "Init",
+            }},
+        }],
+    }},
+}
+
+
+def test_template_with_a_nested_family_instantiates_per_slot():
+    sig = load_signature(ARITH_SIG)
+    report = check_derivation(derivation_from_json(NESTED_FAMILIES, sig), sig, depth=2)
+    assert report.ok, [n.message for n in report.per_node if not n.ok]
+    assert [(n.path, n.sequent) for n in report.per_node[1:]] == [
+        ("root.fam[0]", "Ex z R(0, z) |- Ex y R(0, y)"),
+        ("root.fam[0].0", "Ex z R(0, z) |- R(0, m)[m>=0]"),
+        ("root.fam[0].0.fam[0]", "R(0, 0) |- R(0, 0)"),
+        ("root.fam[0].0.fam[1]", "R(0, 1) |- R(0, 1)"),
+        ("root.fam[1]", "Ex z R(1, z) |- Ex y R(1, y)"),
+        ("root.fam[1].0", "Ex z R(1, z) |- R(1, m)[m>=0]"),
+        ("root.fam[1].0.fam[0]", "R(1, 0) |- R(1, 0)"),
+        ("root.fam[1].0.fam[1]", "R(1, 1) |- R(1, 1)"),
+    ]

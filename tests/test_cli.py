@@ -107,6 +107,10 @@ class TestEval:
             "default P x = 1/2",
             "atom P(a = 1/2",
             "unknown P(",
+            "atom P(a) = 1/3\natom P(a) = 1/2",
+            "default P = 1/3",
+            "mode sup\nmode sum",
+            "transparent on\ntransparent off",
         ],
         ids=[
             "mode",
@@ -119,13 +123,18 @@ class TestEval:
             "default-of-two-words",
             "atom-parse-error",
             "unknown-parse-error",
+            "second-atom",
+            "second-default",
+            "second-mode",
+            "second-transparent",
         ],
     )
     def test_malformed_valuation_exit_2(self, capsys, tmp_path, line):
         v = tmp_path / "bad.val"
         v.write_text(f"default P = 1/2\n{line}\n")
         assert main(["eval", "-v", str(v), "-f", "P(a)"]) == 2
-        assert "valuation line 2:" in capsys.readouterr().err
+        last = 2 + line.count("\n")  # the faulty line is the last one
+        assert f"valuation line {last}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -134,12 +143,22 @@ class TestEval:
             ("atom Q(a) = 1/2\n", "valuation line 2: unknown symbol 'Q' (at position 0) in 'Q(a)'"),
             ("atom P(a = 1/2\n", "valuation line 2: unexpected end of input (at position 3) in 'P(a'"),
             ("unknown P(a)\nunknown P(b)\n", "valuation line 3: a second unknown line"),
+            (
+                "atom P(a) = 1/2\natom P(f(a)) = 1/3\n",
+                "valuation line 3: a second atom line for P(a)",
+            ),
         ],
-        ids=["undeclared-default", "undeclared-atom", "atom-parse-error", "second-unknown"],
+        ids=[
+            "undeclared-default",
+            "undeclared-atom",
+            "atom-parse-error",
+            "second-unknown",
+            "second-atom-after-normalisation",
+        ],
     )
     def test_malformed_valuation_over_a_signature_exit_2(self, capsys, tmp_path, text, message):
         sig = tmp_path / "p.sig"
-        sig.write_text("pred P/1\nconst a\nconst b\n")
+        sig.write_text("pred P/1\nconst a\nconst b\nfun f/1\nrewrite f(x) => x\n")
         v = tmp_path / "bad.val"
         v.write_text(f"default P = 1/2\n{text}")
         assert main(["eval", "-v", str(v), "--sig", str(sig), "-f", "P(a)"]) == 2

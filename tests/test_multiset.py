@@ -126,6 +126,16 @@ class TestOmegaUnion:
         assert other == SequentSide(sig, [(tl, 1)])
 
 
+    def test_minus_removes_a_family(self, sig, tl):
+        ti = FormulaFamily("i", 0, Atom("T", (Var("i"),)))
+        not_ti = FormulaFamily("i", 0, Neg(Atom("T", (Var("i"),))))
+        side = SequentSide(sig, [(tl, 1)], [ti, not_ti])
+        rest = side.minus(SequentSide(sig, [], [not_ti]))
+        assert rest == SequentSide(sig, [(tl, 1)], [ti])
+        with pytest.raises(ValueError, match="family not present"):
+            rest.minus(SequentSide(sig, [], [not_ti]))
+
+
 class TestMultiplicityLookup:
     def test_normalisation_aware(self):
         from mqlogic.derivations import truth_coding_signature

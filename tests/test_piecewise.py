@@ -7,11 +7,11 @@ from mqlogic.piecewise import (
     Interval,
     Piece,
     PiecewiseLinear,
-    add,
-    clamp_upper,
+    _Affine,
+    _Changes,
+    _merge,
     eval_parametric,
     fixed_points,
-    one_minus,
     piecewise_to_json,
 )
 from mqlogic.semantics import SUM, SUP, SemanticsError, Valuation, eval_formula
@@ -33,44 +33,46 @@ class TestPieces:
         assert iv.contains(F(1, 4))
         assert not iv.contains(F(3, 4))
 
-    def test_constant_and_identity(self):
-        c = PiecewiseLinear.constant(F(1, 3))
-        assert c.at(F(0)) == F(1, 3) and c.at(F(1)) == F(1, 3)
-        i = PiecewiseLinear.identity()
-        assert i.at(F(2, 7)) == F(2, 7)
-
-    def test_clamp_splits_at_crossing(self):
-        # 1 - v + 1/2 crosses 1 at v = 1/2
-        f = add(one_minus(PiecewiseLinear.identity()), PiecewiseLinear.constant(F(1, 2)))
-        g = clamp_upper(f)
+    def test_clamp_splits_at_crossing(self, liar_env):
+        sig, tl, _ = liar_env
+        sig.add_predicate("P", 1)
+        sig.add_constant("a")
+        pa = parse_formula("P(a)", sig)
+        v = Valuation(sig, mode=SUM, atom_values={pa: F(1, 2)}, unknown=tl)
+        # T(l) -> P(a) is min(1, 1 - v + 1/2), which crosses 1 at v = 1/2
+        g = eval_parametric(v, parse_formula("T(l) -> P(a)", sig))
         assert g.at(F(0)) == 1
         assert g.at(F(1, 2)) == 1
         assert g.at(F(3, 4)) == F(3, 4)
         assert g.at(F(1)) == F(1, 2)
         assert len(g.pieces) == 2
 
-    def test_clamp_keeps_piece_that_only_touches_one(self):
-        # -v + 3/2 reaches 1 only at its closed left end: no part exceeds 1,
-        # so the piece keeps that end instead of lending it to its neighbour
-        pieces = (
-            Piece(Interval(F(0), F(1, 2), True, False), F(0), F(1)),
-            Piece(Interval(F(1, 2), F(1), True, True), F(-1), F(3, 2)),
-        )
-        assert clamp_upper(PiecewiseLinear(pieces)).pieces == pieces
-
     def test_clamped_crossing_joins_left_neighbour(self):
-        # 2v crosses 1 at its closed left end 1/2; that point joins the
-        # left piece v + 1/2, whose value there is also 1
-        f = PiecewiseLinear(
-            (
-                Piece(Interval(F(0), F(1, 2), True, False), F(1), F(1, 2)),
-                Piece(Interval(F(1, 2), F(1), True, True), F(2), F(0)),
-            )
+        # the crossing point 1/2 of a clamp has value 1, which both
+        # neighbours' parts give there; it joins the left piece v + 1/2
+        pieces = (
+            Piece(Interval(F(1, 2), F(1), False, True), F(0), F(1)),
+            Piece(Interval(F(1, 2), F(1, 2), True, True), F(0), F(1)),
+            Piece(Interval(F(0), F(1, 2), True, False), F(1), F(1, 2)),
         )
-        assert clamp_upper(f).pieces == (
+        assert _merge(pieces).pieces == (
             Piece(Interval(F(0), F(1, 2), True, True), F(1), F(1, 2)),
             Piece(Interval(F(1, 2), F(1), False, True), F(0), F(1)),
         )
+
+    def test_comparison_raises_only_where_its_answer_changes(self):
+        v = _Affine(F(1), F(0), Interval(F(0), F(1), True, True))
+        assert not v < 0  # touches 0 at v = 0 without crossing
+        assert v >= 0
+        with pytest.raises(_Changes) as changed:
+            v <= 0
+        assert changed.value.args == (F(0),)
+        with pytest.raises(_Changes) as changed:
+            1 - v > F(1, 3)
+        assert changed.value.args == (F(2, 3),)
+        # outside the cell's open end the answer is that of the cell
+        right = _Affine(F(1), F(0), Interval(F(1, 2), F(1), False, True))
+        assert right > F(1, 2) and not right <= F(1, 2)
 
 
 class TestParametric:
@@ -145,19 +147,22 @@ class TestFixedPoints:
         profile = eval_parametric(v, parse_formula("~Ex x T(l)", sig))
         assert fixed_points(profile).is_empty
 
-    def test_identity_everywhere(self):
-        sol = fixed_points(PiecewiseLinear.identity())
+    def test_identity_everywhere(self, liar_env):
+        sig, tl, v = liar_env
+        sol = fixed_points(eval_parametric(v, tl))
         assert not sol.points
         assert len(sol.intervals) == 1
         assert sol.intervals[0] == Interval(F(0), F(1), True, True)
 
-    def test_reflection_at_half(self):
-        sol = fixed_points(one_minus(PiecewiseLinear.identity()))
+    def test_reflection_at_half(self, liar_env):
+        sig, tl, v = liar_env
+        sol = fixed_points(eval_parametric(v, Neg(tl)))
         assert sol.points == (F(1, 2),)
         assert not sol.intervals
 
     def test_constant_fixed_point(self):
-        sol = fixed_points(PiecewiseLinear.constant(F(1, 3)))
+        pieces = (Piece(Interval(F(0), F(1), True, True), F(0), F(1, 3)),)
+        sol = fixed_points(PiecewiseLinear(pieces))
         assert sol.points == (F(1, 3),)
 
     def test_boundary_respects_openness(self):

@@ -5,8 +5,10 @@ pieces, with the same bounds, closedness and coefficients, and the same
 fixed-point set.  Two seeded corpora are pinned, one SHA-256 prefix per
 profile (constant profiles are thinned to one in ten): ``eval_parametric`` on random sentences over the liar signature
 (extended with ``P/1`` and the constants ``a`` and ``b``), and random
-compositions of constants and the identity through ``one_minus``,
-``add`` + ``clamp_upper`` and the sum quantifier ``PIECEWISE.exists``.
+compositions of constants and the unknown through the shared value
+clauses ``neg_value``, ``cond_value`` (also as the clamped sum
+``cond_value(neg_value(f), g)``) and the sum quantifier
+``exists_value``, each run through ``piecewise._profile``.
 ``tests/data/piecewise_profiles.json`` holds the expected digests and the
 piece-count histogram of each corpus; regenerate it deliberately with
 
@@ -22,16 +24,13 @@ from pathlib import Path
 
 from mqlogic.derivations import liar_signature
 from mqlogic.piecewise import (
-    PIECEWISE,
     PiecewiseLinear,
-    add,
-    clamp_upper,
+    _profile,
     eval_parametric,
     fixed_points,
-    one_minus,
     piecewise_to_json,
 )
-from mqlogic.semantics import SUM, Valuation
+from mqlogic.semantics import SUM, Valuation, cond_value, exists_value, neg_value
 from mqlogic.syntax import Atom, Cond, Const, Exists, Neg, Var
 
 GOLDEN = Path(__file__).parent / "data" / "piecewise_profiles.json"
@@ -87,32 +86,35 @@ def sentence_profiles():
         yield eval_parametric(valuation, sentence)
 
 
-def _composition(rng: random.Random, depth: int) -> PiecewiseLinear:
+def _composition(rng: random.Random, depth: int):
+    """A random composition, drawn in full, as a function of the unknown."""
     if depth == 0 or rng.random() < 0.1:
         if rng.random() < 0.6:
-            return PiecewiseLinear.identity()
-        return PiecewiseLinear.constant(_unit(rng))
+            return lambda v: v
+        c = _unit(rng)
+        return lambda v: c
     roll = rng.random()
     if roll < 0.25:
-        return one_minus(_composition(rng, depth - 1))
+        f = _composition(rng, depth - 1)
+        return lambda v: neg_value(f(v))
     if roll < 0.5:
         f, g = _composition(rng, depth - 1), _composition(rng, depth - 1)
-        return clamp_upper(add(one_minus(f), g))
-    if roll < 0.7:
+        return lambda v: cond_value(f(v), g(v))
+    if roll < 0.7:  # min(1, f + g)
         f, g = _composition(rng, depth - 1), _composition(rng, depth - 1)
-        return clamp_upper(add(f, g))
+        return lambda v: cond_value(neg_value(f(v)), g(v))
     explicit = [_composition(rng, depth - 1) for _ in range(rng.randint(0, 3))]
     if rng.random() < 0.4:
-        tail = PiecewiseLinear.constant(F(0))
+        tail = lambda v: F(0)
     else:
         tail = _composition(rng, depth - 1)
-    return PIECEWISE.exists(explicit, tail, SUM)
+    return lambda v: exists_value([e(v) for e in explicit], tail(v), SUM)
 
 
 def composition_profiles():
     rng = random.Random(11)
     while True:
-        yield _composition(rng, rng.randint(1, MAX_DEPTH))
+        yield _profile(_composition(rng, rng.randint(1, MAX_DEPTH)))
 
 
 def _digest(profile: PiecewiseLinear) -> str:

@@ -502,6 +502,24 @@ class TestSignatureLoading:
         with pytest.raises(SignatureError):
             load_signature("const a\nconst a\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "pred P/1\nconst a\nname l = ~(P(a)\n",
+                "line 3: unexpected end of input (at position 15)",
+            ),
+            ("const a\nfun f/1\nrewrite f(x => a\n", "line 3: unexpected end of input (at position 11)"),
+            ("const a\nfun f/1\n  rewrite f(x) =>  g(x)  # g\n", "line 3: unknown symbol 'g' (at position 19)"),
+            ("const a\nname  l  =  ~P(a)\n", "line 2: unknown symbol 'P' (at position 13)"),
+        ],
+        ids=["name", "rewrite-lhs", "rewrite-rhs", "name-spaced"],
+    )
+    def test_parse_error_positions_count_in_the_line(self, text, message):
+        with pytest.raises(SignatureError) as exc:
+            load_signature(text)
+        assert str(exc.value) == message
+
     def test_naming_is_injective(self):
         s = Signature()
         s.declare_name("l", Neg(Atom("T", (Const("l"),))))
