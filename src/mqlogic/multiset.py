@@ -14,9 +14,10 @@ is rendered once.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .syntax import (
     Formula,
@@ -48,7 +49,7 @@ class OmegaType:
 
 OMEGA = OmegaType()
 
-Multiplicity = Union[int, OmegaType]
+Multiplicity = int | OmegaType
 
 # formula text -> (parsed formula, its normal form); see formula_reader
 ReadFormula = Callable[[str], tuple[Formula, Formula]]

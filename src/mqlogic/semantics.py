@@ -21,9 +21,10 @@ over the lcm of what it drew) is exact.
 Over integers, an existential walks its tail instance first and its
 explicit instances only as ``exists_value`` reads them: a sum-mode one
 returns 1 on a positive tail without collecting them, or stops once their
-sum reaches 1, and a sup-mode one reads them all.  It does so only where
-no skipped walk could raise or create a name (``_EvalState``), and walks
-every instance, explicit ones first, everywhere else.
+sum reaches 1, and a sup-mode one returns 1 on a tail of 1, or stops at
+the first instance of value 1.  It does so only where no skipped walk
+could raise or create a name (``_EvalState``), and walks every instance,
+explicit ones first, everywhere else.
 
 Normal forms are memoised by the signature alone.  An evaluation keeps
 the valuation's relevant terms and, where it stops early, one memo: the
@@ -172,11 +173,11 @@ class _EvalState:
 
     With ``keyed`` given, an existential walks its tail first and its
     explicit instances only as ``exists_value`` reads them (see
-    ``_instances``), so a sum-mode one skips the walks its value no longer
-    depends on.  ``evaluate`` gives it only when a skipped or reordered
-    walk could neither raise nor change what a later walk sees, so that
-    the values, the errors and the names created are those of walking
-    every instance, explicit ones first:
+    ``_instances``), so that an existential of either mode skips the walks
+    its value no longer depends on.  ``evaluate`` gives it only when a
+    skipped or reordered walk could neither raise nor change what a later
+    walk sees, so that the values, the errors and the names created are
+    those of walking every instance, explicit ones first:
 
     - no unknown is designated, since the integer algebra raises at it;
     - the valuation is not transparent, or the sentence has no truth
@@ -266,10 +267,20 @@ def _relevant_terms(state: _EvalState, body: Formula, env: Env) -> list[Term]:
 def exists_value(explicit: Iterable, tail, mode: str, one=ONE):
     """The existential over an instance family (explicit values plus the
     common value of every other instance): the supremum, or the clamped
-    series, which diverges as soon as the tail is positive and reads no
-    explicit value past the one at which it reaches 1."""
+    series, which diverges as soon as the tail is positive.  Neither reads
+    an explicit value once its value is 1: the supremum stops at a tail or
+    at the first explicit value equal to 1, the series at the explicit
+    value at which it reaches 1."""
     if mode == SUP:
-        return max((*explicit, tail))
+        if tail == one:
+            return one
+        best = tail
+        for v in explicit:
+            if v == one:
+                return one
+            if v > best:
+                best = v
+        return best
     if tail > 0:
         return one
     return side_sum(((v, 1) for v in explicit), one=one)

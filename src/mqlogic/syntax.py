@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Iterator, Optional, TypeVar
 
 
 class SyntaxError_(Exception):
@@ -85,7 +85,7 @@ class Quote:
     body: "Formula"
 
 
-Term = Union[Var, Const, Numeral, App, Quote]
+Term = Var | Const | Numeral | App | Quote
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +111,7 @@ class Exists:
     body: "Formula"
 
 
-Formula = Union[Atom, Neg, Cond, Exists]
+Formula = Atom | Neg | Cond | Exists
 
 
 @dataclass(frozen=True, slots=True)
@@ -1070,13 +1070,14 @@ def parse_term(text: str, sig: Signature) -> Term:
 def directives(text: str) -> Iterator[tuple[int, str, str, int]]:
     """(line number, head, rest, column of rest in the line) of each
     directive line of ``text``: ``#`` comments are dropped, blank lines
-    skipped, and the head is the line's first word."""
+    skipped, and the head is the line's first word, which a run of blanks
+    or tabs ends."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        head, _, rest = line.lstrip().partition(" ")
-        if head:
-            rest = rest.strip()
-            yield lineno, head, rest, len(line) - len(rest)
+        words = line.split(None, 1)
+        if words:
+            rest = words[1] if len(words) == 2 else ""
+            yield lineno, words[0], rest, len(line) - len(rest)
 
 
 def load_signature(text: str) -> Signature:

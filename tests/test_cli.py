@@ -164,6 +164,26 @@ class TestEval:
         assert main(["eval", "-v", str(v), "--sig", str(sig), "-f", "P(a)"]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "sig_text, val_text",
+        [
+            ("pred P/1\nconst\ta\n", "atom P(a) = 1/2\n"),
+            (None, "atom\tP(a) = 1/2\n"),
+        ],
+        ids=["signature", "valuation"],
+    )
+    def test_tab_after_the_directive(self, capsys, tmp_path, sig_text, val_text):
+        v = tmp_path / "t.val"
+        v.write_text(val_text)
+        argv = ["eval", "-v", str(v), "-f", "P(a)"]
+        if sig_text is not None:
+            sig = tmp_path / "t.sig"
+            sig.write_text(sig_text)
+            argv += ["--sig", str(sig)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {"value": "1/2"}
+
     def test_empty_valuation_path_exit_2(self, capsys):
         assert main(["eval", "-v", "", "-f", "P(a)"]) == 2
         err = capsys.readouterr().err

@@ -643,6 +643,15 @@ class TestScaledEvaluation:
     @example(({"P(a)": F(1, 3)}, (F(0), F(0))), "Ex y (Ex x (P(x)))", 64)
     # a shadowing binder: the inner Ex is closed and the outer one vacuous
     @example(({"P(a)": F(1, 3)}, (F(0), F(0))), "Ex x (Ex x (P(x)))", 64)
+    # sup mode: a tail of exactly 1 (P defaults to 1); an explicit instance
+    # of exactly 1 at a, before f(a) and f(f(b)); a maximum below 1
+    @example(({"P(a)": F(1, 3)}, (F(1), F(0))), "Ex x (P(x))", 64)
+    @example(
+        ({"P(a)": F(1), "P(f(a))": F(1, 2), "P(f(f(b)))": F(1, 4)}, (F(0), F(0))),
+        "Ex x (P(x))",
+        64,
+    )
+    @example(({"P(a)": F(1, 3), "P(f(a))": F(1, 2)}, (F(1, 4), F(0))), "Ex x (P(x))", 64)
     @settings(max_examples=200, deadline=None)
     def test_stopping_early_matches_fraction_walker(self, valuation, text, budget):
         self.compare(TAME_LIAR_SIG, valuation, text, budget)

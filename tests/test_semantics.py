@@ -5,6 +5,7 @@ import pytest
 
 from extended_sums import INFINITE, ExtendedSum
 from mqlogic.derivations import liar_signature, truth_coding_signature
+from mqlogic import semantics
 from mqlogic.multiset import OMEGA, Sequent, SequentSide
 from mqlogic.semantics import (
     SUM,
@@ -325,6 +326,96 @@ class TestSumStopsEarly:
         explicit, tail = instance_family(v, Atom("P", (Var("x"),)))
         assert explicit == [(Const("a"), F(1)), (Const("b"), F(0))]
         assert tail == F(1, 2)
+
+
+class TestSupStopsEarly:
+    """Where a sum-mode existential stops (``TestSumStopsEarly``), a
+    sup-mode one returns 1 on a tail of 1 and reads no explicit instance
+    past the first of value 1; the ``walks`` cases count the node walks.
+    Where a skipped walk could raise or create a name, every instance is
+    still walked."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        node_value = semantics._node_value
+
+        def counting(alg, state, f, env):
+            calls.append(f)
+            return node_value(alg, state, f, env)
+
+        monkeypatch.setattr(semantics, "_node_value", counting)
+        return calls
+
+    def test_chain_reaching_one(self, walks):
+        # every level's tail instance, P($tail) = 0, makes the body 1, so
+        # the walk goes down the tails and reads no explicit instance;
+        # walking every instance takes 4^8 walks of the body
+        v = load_valuation(
+            "mode sup\natom P(a) = 1/3\natom P(b) = 1/2\natom P(c) = 2/3\n"
+        )
+        body = " -> ".join(f"P(x{i})" for i in range(8))
+        chain = parse_formula(" ".join(f"Ex x{i}" for i in range(8)) + f" ({body})", v.sig)
+        assert eval_formula(v, chain) == 1
+        assert len(walks) <= 3 * 8
+
+    @pytest.mark.parametrize(
+        "atoms, value, read",
+        [
+            # P(a) = 1 is read first, so P(b) and P(c) are not
+            ("atom P(a) = 1\natom P(b) = 1/2\natom P(c) = 1/3\n", F(1), 1),
+            # a maximum below 1 reads every instance
+            ("atom P(a) = 1/3\natom P(b) = 1/2\natom P(c) = 1/4\n", F(1, 2), 3),
+        ],
+        ids=["explicit-one", "maximum-below-one"],
+    )
+    def test_explicit_instances_read(self, walks, atoms, value, read):
+        v = load_valuation("mode sup\n" + atoms)
+        assert eval_formula(v, parse_formula("Ex x P(x)", v.sig)) == value
+        atoms_walked = [f for f in walks if isinstance(f, Atom)]
+        assert len(atoms_walked) == 1 + read  # the tail, then those read
+
+    def test_tail_of_one_reads_no_instance(self, walks):
+        v = load_valuation("mode sup\ndefault P = 1\natom P(a) = 1/2\n")
+        assert eval_formula(v, parse_formula("Ex x P(x)", v.sig)) == 1
+        assert len(walks) == 2  # the existential and its tail instance
+
+    # each case has a tail instance of value 1 and an explicit instance
+    # whose walk raises, so only the guard keeps it from being skipped
+    @pytest.mark.parametrize(
+        "sig_text, val_text, formula, error",
+        [
+            ("pred P/1\nconst a\nname l = ~Ex x T(x)\n",
+             "transparent on\ndefault T = 1\natom P(l) = 1/2\n", "Ex x T(x)",
+             UngroundedError),
+            ("pred P/1\nconst a\nname l = ~Ex x T(x)\n",
+             "unknown T(l)\ndefault T = 1\n", "Ex x T(x)", SemanticsError),
+            ("arith 0 s\npred P/1\nfun k/1\nfun h/1\nrewrite k(s(s(x))) => h(k(x))\n",
+             "default P = 1\natom P(2000) = 1/2\n", "Ex x P(k(x))", RecursionError),
+        ],
+        ids=["transparent", "unknown", "heavy-instance"],
+    )
+    def test_walks_that_raise_are_made(self, sig_text, val_text, formula, error):
+        sig = load_signature(sig_text)
+        v = load_valuation("mode sup\n" + val_text, sig)
+        with pytest.raises(error):
+            eval_formula(v, parse_formula(formula, sig))
+
+    def test_quote_rules_create_the_same_names(self):
+        # P defaults to 0, so the tail instance is 1, yet every instance is
+        # walked and names its sentence, as in sum mode
+        sig = truth_coding_signature()
+        sig.add_predicate("P", 1)
+        before = set(sig.naming_scheme)
+        f = parse_formula("Ex x (P(fm(x, 0)) -> Ex y ~P(fm(3, y)))", sig)
+        v = Valuation(
+            sig,
+            mode=SUP,
+            atom_values={Atom("P", (Numeral(0),)): F(2, 3), Atom("P", (Numeral(3),)): F(4, 5)},
+        )
+        assert eval_formula(v, f) == 1
+        created = [render_formula(g) for c, g in sig.naming_scheme.items() if c not in before]
+        assert created == [f"T({i})" for i in range(6)] + ["T($tail)", "T(7)", "T(8)"]
 
 
 class TestSequentEvaluation:

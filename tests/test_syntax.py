@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from enumeration_oracle import enumerate_closed_terms_eager, term_depth
 from rewrite_oracle import normalize_term_outermost
 from token_oracle import tokenize_by_loop
+import mqlogic
 from mqlogic.syntax import (
     App,
     Atom,
@@ -597,3 +601,43 @@ class TestTokenizer:
     @settings(max_examples=400, deadline=None)
     def test_matches_the_regex_loop(self, text):
         assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_by_loop, text)
+
+
+_REIMPORTS = """
+import gc, importlib, sys
+sys.path.insert(0, sys.argv[1])
+MODULES = ("calculus", "cli", "derivations", "experiments", "fuzz",
+           "multiset", "piecewise", "semantics", "syntax")
+
+def fresh_import():
+    for name in [n for n in sys.modules if n.partition(".")[0] == "mqlogic"]:
+        del sys.modules[name]
+    for m in MODULES:
+        importlib.import_module("mqlogic." + m)
+
+def live_var_classes():
+    gc.collect()
+    return sum(
+        isinstance(o, type) and o.__module__ == "mqlogic.syntax" and o.__name__ == "Var"
+        for o in gc.get_objects()
+    )
+
+fresh_import()
+once = live_var_classes()
+for _ in range(3):
+    fresh_import()
+print(once, live_var_classes())
+"""
+
+
+def test_reimports_leave_no_module_alive():
+    """A module-level ``typing.Union`` or ``typing.Callable`` alias over the
+    package's classes stays in ``typing``'s subscription cache, and keeps
+    those classes, and through them their module, alive after the module
+    is dropped from ``sys.modules`` and imported again."""
+    src = str(Path(mqlogic.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _REIMPORTS, src], capture_output=True, text=True, check=True
+    ).stdout
+    once, after = map(int, out.split())
+    assert after == once
