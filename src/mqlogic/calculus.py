@@ -227,16 +227,6 @@ class Verdict:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class SequentFamily:
-    """Sequent-level summary of a premise family (for check_instance)."""
-
-    var: str
-    start: int
-    template: Sequent
-    explicit: tuple[Sequent, ...] = ()
-
-
 class _Mismatch(CheckError):
     """This candidate principal does not fit the rule; another may."""
 
@@ -391,7 +381,7 @@ class _RuleChecker:
         premises: Sequence[Sequent],
         conclusion: Sequent,
         principal: Optional[Formula] = None,
-        family: Optional[SequentFamily] = None,
+        family: Optional[UniformFamily] = None,
     ) -> Verdict:
         try:
             clause = _CLAUSES[rule.lower()]
@@ -671,9 +661,7 @@ class _RuleChecker:
         if expected != conclusion:
             raise _Mismatch(f"ExistsLw shape: expected conclusion {expected.render()!r}")
 
-    def _index_tail(
-        self, part: SequentSide, fam: SequentFamily
-    ) -> Optional[SequentSide]:
+    def _index_tail(self, part: SequentSide, fam: UniformFamily) -> Optional[SequentSide]:
         """What one side of the template contributes to the conclusion over
         the slots from ``fam.start`` on: a family per copy of an
         index-dependent formula, omega copies of any other.  None when an
@@ -690,11 +678,11 @@ class _RuleChecker:
         return SequentSide(self.sig, tail, fams)
 
     def _exists_left_family_one(
-        self, conclusion: Sequent, fam: SequentFamily, f: Exists
+        self, conclusion: Sequent, fam: UniformFamily, f: Exists
     ) -> None:
         var, body = f.var, f.body
         vacuous = var not in free_vars(body)
-        tpl = fam.template
+        tpl = fam.template.conclusion
         if tpl.ant.families or tpl.suc.families:
             raise _Mismatch("nested families in a premise template")
         p_tpl = body if vacuous else _subst(body, {var: Var(fam.var)})
@@ -705,7 +693,7 @@ class _RuleChecker:
         gamma_tpl = tpl.ant.with_removed_one(p_tpl)
         expected_ant = SequentSide(self.sig, [(f, 1)])
         expected_suc = SequentSide(self.sig)
-        for slot, ex in enumerate(fam.explicit):
+        for slot, ex in enumerate(e.conclusion for e in fam.explicit):
             if ex.ant.families or ex.suc.families:
                 raise _Mismatch("explicit premise slots must be family-free")
             p_slot = body if vacuous else substitute(body, var, self._rep_term(slot))
@@ -770,17 +758,9 @@ class _RuleChecker:
                     raise CheckError("slot reference before the first slot")
                 else:
                     premise_seqs.append(earlier[-p.offset])
-            fam_summary = None
             if d.family is not None:
-                fam = d.family
-                _check_template_uniformity(fam.template, fam.var)
-                fam_summary = SequentFamily(
-                    fam.var, fam.start, fam.template.conclusion,
-                    tuple(e.conclusion for e in fam.explicit),
-                )
-            verdict = self.check(
-                d.rule, premise_seqs, d.conclusion, d.principal, fam_summary
-            )
+                _check_template_uniformity(d.family.template, d.family.var)
+            verdict = self.check(d.rule, premise_seqs, d.conclusion, d.principal, d.family)
         except CheckError as e:
             verdict = Verdict(False, str(e))
         report.per_node.append(
@@ -852,14 +832,14 @@ def check_instance(
     conclusion: Sequent,
     policy: str = MULTIPLICATIVE,
     principal: Optional[Formula] = None,
-    family: Optional[SequentFamily] = None,
+    family: Optional[UniformFamily] = None,
     depth: int = 8,
 ) -> Verdict:
     """Check that ``conclusion`` follows from ``premises`` by the named rule.
 
     Formulas are matched up to normalisation of closed terms, so coding
-    steps are absorbed.  Omega-premise families are supplied as sequent
-    summaries; their verification is bounded by ``depth``.
+    steps are absorbed.  Of an omega-premise family only the slots'
+    conclusions are read; its verification is bounded by ``depth``.
     """
     checker = _RuleChecker(sig, policy, depth)
     return checker.check(rule, premises, conclusion, principal, family)

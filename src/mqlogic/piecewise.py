@@ -1,18 +1,22 @@
 """Exact piecewise-affine values over one unknown atom value in [0, 1].
 
-Used to evaluate a sentence as a function of a single undetermined atom
-(sum-quantifier mode) and to solve the induced fixed-point condition
+Used to evaluate a sentence as a function of a single undetermined atom,
+in either quantifier mode, and to solve the induced fixed-point condition
 exactly.  Pieces partition [0, 1]; degenerate single-point pieces are
-first-class because divergence boundaries produce isolated points.
+first-class because divergence boundaries produce isolated points.  The
+liar ``~Ex x T(l)`` with ``T(l)`` unknown shows the paper's contrast: in
+sum mode the series diverges on any positive v, so the profile is 1 at
+v = 0 and 0 on (0, 1] and has no fixed point; in sup mode it is 1 - v on
+[0, 1], continuous like every sup-mode profile, with fixed point 1/2.
 
 There is no second copy of the value clauses here.  ``eval_parametric``
 runs ``semantics.evaluate`` with the unknown as an affine value a*v + b
 on one cell of [0, 1] (``_Affine``), so negation, the conditional and
-the sum quantifier are ``neg_value``, ``cond_value`` and
-``exists_value``.  A comparison whose answer changes inside the cell
-stops the run at that point; ``_profile`` splits the cell there with
-``_split`` and runs each part again, and ``_merge`` joins two
-contiguous pieces whenever one affine part describes both.
+the existential are ``neg_value``, ``cond_value`` and ``exists_value``.
+A comparison whose answer changes inside the cell stops the run at that
+point; ``_profile`` splits the cell there with ``_split`` and runs each
+part again, and ``_merge`` joins two contiguous pieces whenever one
+affine part describes both.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import Any, Callable, Iterable, Optional
 
 from .semantics import (
     ONE,
-    SUM,
     SemanticsError,
     Valuation,
     ValueAlgebra,
@@ -220,9 +223,11 @@ def eval_parametric(valuation: Valuation, f: Formula) -> PiecewiseLinear:
     """Evaluate a sentence as an exact piecewise-affine function of the
     designated unknown atom's value.
 
-    Requires sum-quantifier mode and exactly one designated unknown.
+    Needs exactly one designated unknown, in either quantifier mode.
     Evaluating the result at any rational v agrees with eval_formula on
-    the valuation with the unknown set to v.
+    the valuation with the unknown set to v.  The liar ``~Ex x T(l)``
+    gives 1 at 0 and 0 on (0, 1] in sum mode (no fixed point), and
+    1 - v on [0, 1] in sup mode (fixed point 1/2).
 
     Each cell is a fresh ``evaluate`` with the unknown as an ``_Affine``
     value.  With an unknown designated ``evaluate`` never stops early, so
@@ -232,12 +237,12 @@ def eval_parametric(valuation: Valuation, f: Formula) -> PiecewiseLinear:
     the first run walked, and finds the names the first run created
     through ``name_of``'s memo.  Only the comparisons in the value clauses
     read the unknown, and each cell of the result is one on which all of
-    them answer alike, so every point of it takes the same clauses.
+    them answer alike, so every point of it takes the same clauses.  An
+    ``_Affine`` has no ``__eq__``, so the supremum's tests for a value of
+    1 never hold for it, and the supremum compares every instance.
     """
     if valuation.unknown is None:
         raise SemanticsError("parametric evaluation needs a designated unknown atom")
-    if valuation.mode != SUM:
-        raise SemanticsError("parametric evaluation requires sum-quantifier mode")
     return _profile(
         lambda v: evaluate(
             valuation, f, ValueAlgebra(constant=lambda q: q, unknown=lambda: v, one=ONE)

@@ -741,27 +741,37 @@ def _is_linear(t: Term) -> bool:
 def _normalize_in(sig: Signature, t: Term, budget: _Budget) -> Term:
     """Innermost-leftmost normalisation, memoised per signature.
 
-    A memo hit charges the steps the cached run spent, so the budget runs
-    out exactly when it would have without the memo.  The entry goes into
-    the memo that was current when ``t`` was first looked up: if a rule
-    change dropped that memo meanwhile, the entry goes with it.
+    Arguments are normalised by recursion, and the chain of root steps by
+    a loop: each term on the chain is looked up in the memo in turn, and
+    gets an entry with the steps spent from its lookup on.  A memo hit
+    charges the steps the cached run spent, so the budget runs out exactly
+    when it would have without the memo.  An entry goes into the memo that
+    was current when its term was looked up: if a rule change dropped that
+    memo meanwhile, the entry goes with it.
     """
-    memo = sig._normal_forms
-    hit = memo.get(t)
-    if hit is not None:
-        nf, steps = hit
-        budget.spend(steps)
-        return nf
-    left = budget.left
-    nf = _canon(sig, t)
-    if isinstance(nf, App):
-        nf = _canon(sig, App(nf.fn, tuple(_normalize_in(sig, a, budget) for a in nf.args)))
+    chain = None  # (term, memo, budget left) at each lookup before the last
     while True:
+        memo = sig._normal_forms
+        hit = memo.get(t)
+        if hit is not None:
+            nf, steps = hit
+            budget.spend(steps)
+            break
+        left = budget.left
+        nf = _canon(sig, t)
+        if isinstance(nf, App):
+            nf = _canon(sig, App(nf.fn, tuple(_normalize_in(sig, a, budget) for a in nf.args)))
         r = _step_root(sig, nf, budget, _rules_at_root(sig, nf))
         if r is None:
+            memo[t] = (nf, left - budget.left)
             break
-        nf = _normalize_in(sig, r, budget)
-    memo[t] = (nf, left - budget.left)
+        if chain is None:
+            chain = []
+        chain.append((t, memo, left))
+        t = r
+    if chain is not None:
+        for u, memo, left in reversed(chain):
+            memo[u] = (nf, left - budget.left)
     return nf
 
 
@@ -1096,15 +1106,17 @@ def load_signature(text: str) -> Signature:
         try:
             if head == "const":
                 sig.add_constant(rest)
-            elif head == "fun":
+            elif head in ("fun", "pred"):
                 name, _, ar = rest.partition("/")
-                sig.add_function(name.strip(), int(ar))
-            elif head == "pred":
-                name, _, ar = rest.partition("/")
-                sig.add_predicate(name.strip(), int(ar))
+                try:
+                    arity = int(ar)
+                except ValueError:
+                    raise SignatureError(f"{head} takes <symbol>/<arity>, got '{rest}'")
+                (sig.add_function if head == "fun" else sig.add_predicate)(name.strip(), arity)
             elif head == "arith":
-                zero, succ = rest.split()
-                sig.add_arithmetic(zero, succ)
+                if len(rest.split()) != 2:
+                    raise SignatureError(f"arith takes <zero> <successor>, got '{rest}'")
+                sig.add_arithmetic(*rest.split())
             elif head == "name":
                 const, _, formula_text = rest.partition("=")
                 formula_text = " " * (column + len(const) + 1) + formula_text

@@ -10,7 +10,6 @@ from mqlogic.calculus import (
     MULTIPLICATIVE,
     CheckError,
     Derivation,
-    SequentFamily,
     SlotRef,
     UniformFamily,
     Verdict,
@@ -242,8 +241,8 @@ class TestOmegaRules:
     def test_exists_left_family_omega_copies(self, lsig):
         tl = _tl(lsig)
         ex = Exists("x", tl)
-        fam = SequentFamily(
-            "n", 0, Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)])
+        fam = UniformFamily(
+            "n", 0, Derivation(Sequent.make(lsig, ant=[(tl, 1)], suc=[(tl, 1)]), "Init")
         )
         concl = Sequent.make(lsig, ant=[(ex, 1)], suc=[(tl, OMEGA)])
         assert check_instance(

@@ -184,6 +184,22 @@ class TestEval:
         assert code == 0
         assert json.loads(out) == {"value": "1/2"}
 
+    @pytest.mark.parametrize(
+        "k, code, expected",
+        [(5000, 0, '{"value": "0"}'), (20000, 2, "rewrite step budget exceeded")],
+    )
+    def test_long_rewrite_chain(self, capsys, tmp_path, k, code, expected):
+        # f(k) rewrites to f(0) in k root steps: a loop takes them, so only
+        # the step budget (10,000) bounds the chain
+        sig = tmp_path / "chain.sig"
+        sig.write_text("arith 0 s\nfun f/1\npred P/1\nrewrite f(s(x)) => f(x)\n")
+        v = tmp_path / "t.val"
+        v.write_text("mode sum\n")
+        argv = ["eval", "-v", str(v), "--sig", str(sig), "-f", f"P(f({k}))"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert expected in (captured.out if code == 0 else captured.err)
+
     def test_empty_valuation_path_exit_2(self, capsys):
         assert main(["eval", "-v", "", "-f", "P(a)"]) == 2
         err = capsys.readouterr().err
@@ -602,9 +618,10 @@ class TestFuzzCommand:
 
 
 class TestSolveSelfref:
-    def test_liar(self, capsys, tmp_path, liar_sig):
+    @pytest.mark.parametrize("mode", ["sum", "sup"])
+    def test_liar(self, capsys, tmp_path, liar_sig, mode):
         v = tmp_path / "liar.val"
-        v.write_text("mode sum\nunknown T(l)\n")
+        v.write_text(f"mode {mode}\nunknown T(l)\n")
         code, out = run(
             capsys,
             "solve-selfref",
@@ -617,8 +634,12 @@ class TestSolveSelfref:
         )
         assert code == 0
         data = json.loads(out)
-        assert data["fixedPoints"]["empty"] is True
-        assert len(data["pieces"]) == 2
+        if mode == "sum":  # 1 at v = 0, 0 above: no fixed point
+            assert data["fixedPoints"]["empty"] is True
+            assert len(data["pieces"]) == 2
+        else:  # 1 - v on [0, 1]
+            assert data["fixedPoints"]["points"] == ["1/2"]
+            assert [(p["a"], p["b"]) for p in data["pieces"]] == [("-1", "1")]
 
 
 class TestRepro:

@@ -14,7 +14,15 @@ from mqlogic.piecewise import (
     fixed_points,
     piecewise_to_json,
 )
-from mqlogic.semantics import SUM, SUP, SemanticsError, Valuation, eval_formula
+from mqlogic.semantics import (
+    ONE,
+    SUM,
+    SUP,
+    SemanticsError,
+    Valuation,
+    eval_formula,
+    exists_value,
+)
 from mqlogic.syntax import Atom, Cond, Const, Exists, Neg, Signature, parse_formula
 
 
@@ -111,10 +119,50 @@ class TestParametric:
         with pytest.raises(SemanticsError):
             eval_parametric(Valuation(sig, mode=SUM), tl)
 
-    def test_requires_sum_mode(self, liar_env):
+    def test_sup_mode_liar(self, liar_env):
+        # the same evaluator profiles a sentence in sup mode: the liar is
+        # continuous there, 1 - v on all of [0, 1], with fixed point 1/2
         sig, tl, _ = liar_env
-        with pytest.raises(SemanticsError):
-            eval_parametric(Valuation(sig, mode=SUP, unknown=tl), tl)
+        profile = eval_parametric(
+            Valuation(sig, mode=SUP, unknown=tl), parse_formula("~Ex x T(l)", sig)
+        )
+        assert profile.pieces == (Piece(Interval(F(0), F(1), True, True), F(-1), F(1)),)
+        assert fixed_points(profile).points == (F(1, 2),)
+
+    def test_sup_takes_the_exact_maximum_of_affine_values(self, liar_env):
+        # the supremum's early returns test ``== one``; an affine value is
+        # never equal to it, even on a cell where it is 1, so the branch
+        # compares every instance and splits the cell where they cross
+        whole = Interval(F(0), F(1), True, True)
+        one_on_cell = _Affine(F(0), F(1), whole)
+        assert not one_on_cell == ONE and not ONE == one_on_cell
+        v = _Affine(F(1), F(0), whole)
+        assert exists_value([F(1, 4)], one_on_cell, SUP) is one_on_cell
+        with pytest.raises(_Changes) as changed:
+            exists_value([F(1, 2), v], F(1, 4), SUP)
+        assert changed.value.args == (F(1, 2),)
+        sig, tl, _ = liar_env
+        sig.add_predicate("P", 1)
+        sig.add_constant("a")
+        sig.add_constant("b")
+        pa, pb = parse_formula("P(a)", sig), parse_formula("P(b)", sig)
+        val = Valuation(
+            sig,
+            mode=SUP,
+            atom_values={pb: F(1, 2)},
+            predicate_defaults={"P": F(1, 4)},
+            unknown=pa,
+        )
+        sentence = parse_formula("Ex x P(x)", sig)
+        profile = eval_parametric(val, sentence)
+        assert profile.pieces == (
+            Piece(Interval(F(0), F(1, 2), True, True), F(0), F(1, 2)),
+            Piece(Interval(F(1, 2), F(1), False, True), F(1), F(0)),
+        )
+        for point in (F(0), F(1, 2), F(3, 4), F(1)):
+            assert profile.at(point) == eval_formula(
+                val.with_unknown_assigned(point), sentence
+            )
 
     def test_conditional_profile(self, liar_env):
         sig, tl, v = liar_env
@@ -173,3 +221,59 @@ class TestFixedPoints:
         sol = fixed_points(PiecewiseLinear(pieces))
         # f(0)=1 != 0; f(v)=0 only at v=0 which the second piece excludes
         assert sol.is_empty
+
+
+# The quantifier-shift laws, x not free in A, with A = T(l) the unknown
+# and B = P(x).  They hold for the supremum (Hajek, Metamathematics of Fuzzy
+# Logic, 1998) and fail for the clamped series.
+SHIFT_LAWS = [
+    ("Ex x (T(l) -> P(x))", "T(l) -> Ex x P(x)"),
+    ("Ex x (P(x) -> T(l))", "~Ex x ~P(x) -> T(l)"),
+    ("Ex x ~(T(l) -> P(x))", "~(T(l) -> ~Ex x ~P(x))"),
+    ("Ex x ~(P(x) -> T(l))", "~(Ex x P(x) -> T(l))"),
+    ("Ex x ~~P(x)", "Ex x P(x)"),
+]
+
+
+def _shift_env(mode, pa, pb, default):
+    sig = liar_signature()
+    sig.add_predicate("P", 1)
+    sig.add_constant("a")
+    sig.add_constant("b")
+    values = {parse_formula("P(a)", sig): pa, parse_formula("P(b)", sig): pb}
+    val = Valuation(
+        sig,
+        mode=mode,
+        atom_values=values,
+        predicate_defaults={"P": default},
+        unknown=parse_formula("T(l)", sig),
+    )
+    return lambda text: eval_parametric(val, parse_formula(text, sig))
+
+
+class TestShiftLaws:
+    @pytest.mark.parametrize("law", range(len(SHIFT_LAWS)))
+    @pytest.mark.parametrize(
+        "pa, pb, default",
+        [(F(1, 4), F(1, 4), F(0)), (F(1, 3), F(2, 3), F(1, 2)), (F(0), F(1), F(1, 5))],
+    )
+    def test_sup_sides_have_equal_profiles(self, law, pa, pb, default):
+        profile = _shift_env(SUP, pa, pb, default)
+        lhs, rhs = SHIFT_LAWS[law]
+        assert profile(lhs).pieces == profile(rhs).pieces
+
+    def test_sum_sides_differ(self):
+        profile = _shift_env(SUM, F(1, 4), F(1, 4), F(0))
+        differ = [
+            law
+            for law, (lhs, rhs) in enumerate(SHIFT_LAWS, 1)
+            if profile(lhs).pieces != profile(rhs).pieces
+        ]
+        assert differ == [1, 3, 4]
+        # law 3: the series over instances ~(v -> P(x)) diverges for v > 0
+        lhs, rhs = SHIFT_LAWS[2]
+        assert profile(lhs).pieces == (
+            Piece(Interval(F(0), F(0), True, True), F(0), F(0)),
+            Piece(Interval(F(0), F(1), False, True), F(0), F(1)),
+        )
+        assert profile(rhs).pieces == (Piece(Interval(F(0), F(1), True, True), F(1), F(0)),)

@@ -18,7 +18,7 @@ from mqlogic.derivations import liar_signature, prop1_derivation, truth_coding_s
 from mqlogic.experiments import _lemma1_sample
 from mqlogic.fuzz import _SAMPLERS, RULE_CHOICES, FuzzConfig, draw_unit
 from mqlogic.multiset import OMEGA, FormulaFamily, SequentSide
-from mqlogic.piecewise import eval_parametric, piecewise_to_json
+from mqlogic.piecewise import eval_parametric, fixed_points, piecewise_to_json
 from mqlogic.semantics import (
     SUM,
     SUP,
@@ -954,18 +954,19 @@ class TestScaledValueClauses:
 # -- parametric consistency ---------------------------------------------------
 
 
+@pytest.mark.parametrize("mode", [SUM, SUP])
 class TestParametricProperties:
     @given(
         formulas(5).filter(lambda f: not free_vars(f)),
         st.lists(unit_values, min_size=1, max_size=8),
     )
     @settings(max_examples=150, deadline=None)
-    def test_profile_matches_concrete_eval(self, sentence, points):
+    def test_profile_matches_concrete_eval(self, mode, sentence, points):
         sig = make_sig()
         unknown = Atom("P", (Const("a"),))
         v = Valuation(
             sig,
-            mode=SUM,
+            mode=mode,
             unknown=unknown,
             predicate_defaults={"Q": F(1, 2)},
         )
@@ -978,10 +979,10 @@ class TestParametricProperties:
 
     @given(formulas(4).filter(lambda f: not free_vars(f)))
     @settings(max_examples=150, deadline=None)
-    def test_pieces_partition_unit_interval(self, sentence):
+    def test_pieces_partition_unit_interval(self, mode, sentence):
         sig = make_sig()
         unknown = Atom("P", (Const("a"),))
-        v = Valuation(sig, mode=SUM, unknown=unknown)
+        v = Valuation(sig, mode=mode, unknown=unknown)
         profile = eval_parametric(v, sentence)
         pieces = profile.pieces
         assert pieces[0].interval.lo == 0 and pieces[0].interval.closed_lo
@@ -989,3 +990,29 @@ class TestParametricProperties:
         for left, right in zip(pieces, pieces[1:]):
             assert left.interval.hi == right.interval.lo
             assert left.interval.closed_hi != right.interval.closed_lo
+
+
+class TestSupProfiles:
+    @given(
+        formulas(5).filter(lambda f: not free_vars(f)),
+        st.tuples(unit_values, unit_values, unit_values),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_continuous_with_a_fixed_point(self, sentence, values):
+        # the supremum and the connectives are continuous, so every sup-mode
+        # profile is a continuous map of [0, 1] into itself: a fixed point
+        # exists.  A sum-mode one jumps where a series starts to diverge.
+        sig = make_sig()
+        p_b, q_a, default = values
+        v = Valuation(
+            sig,
+            mode=SUP,
+            atom_values={Atom("P", (Const("b"),)): p_b, Atom("Q", (Const("a"),)): q_a},
+            predicate_defaults={"P": default, "Q": F(1, 2)},
+            unknown=Atom("P", (Const("a"),)),
+        )
+        profile = eval_parametric(v, sentence)
+        for left, right in zip(profile.pieces, profile.pieces[1:]):
+            at = left.interval.hi
+            assert left.value_at(at) == right.value_at(at)
+        assert not fixed_points(profile).is_empty

@@ -356,21 +356,29 @@ class TestRewriting:
             s.max_rewrite_steps = steps
             return s
 
-        # fm(k, 7) takes k successor steps and one zero step
-        t = App("fm", (Numeral(5), Numeral(7)))
-        steps = 6
-        assert normalize_term(t, countdown(steps)) == Numeral(7)
-        with pytest.raises(StepBudgetError):
-            normalize_term(t, countdown(steps - 1))
-        warm = countdown(steps)
-        normalize_term(t, warm)
-        assert t in warm._normal_forms
-        for _ in range(2):
-            warm.max_rewrite_steps = steps - 1
+        # fm(k, 7) takes k successor steps and one zero step; at k = 5000
+        # the chain of root steps is far longer than the recursion limit
+        for k in (5, 5000):
+            t = App("fm", (Numeral(k), Numeral(7)))
+            steps = k + 1
+            assert normalize_term(t, countdown(steps)) == Numeral(7)
+            assert normalize_term_outermost(t, countdown(steps)) == Numeral(7)
             with pytest.raises(StepBudgetError):
-                normalize_term(t, warm)
-            warm.max_rewrite_steps = steps
-            assert normalize_term(t, warm) == Numeral(7)
+                normalize_term(t, countdown(steps - 1))
+            warm = countdown(steps)
+            normalize_term(t, warm)
+            # every term on the chain has its entry, with its own step count
+            for j in (0, 1, k // 2, k):
+                assert warm._normal_forms[App("fm", (Numeral(j), Numeral(7)))] == (
+                    Numeral(7),
+                    j + 1,
+                )
+            for _ in range(2):
+                warm.max_rewrite_steps = steps - 1
+                with pytest.raises(StepBudgetError):
+                    normalize_term(t, warm)
+                warm.max_rewrite_steps = steps
+                assert normalize_term(t, warm) == Numeral(7)
 
     def test_created_names_keep_normal_forms(self):
         # fm(3, mu) names the truth atoms it builds, and each new name's
@@ -516,8 +524,25 @@ class TestSignatureLoading:
             ("const a\nfun f/1\nrewrite f(x => a\n", "line 3: unexpected end of input (at position 11)"),
             ("const a\nfun f/1\n  rewrite f(x) =>  g(x)  # g\n", "line 3: unknown symbol 'g' (at position 19)"),
             ("const a\nname  l  =  ~P(a)\n", "line 2: unknown symbol 'P' (at position 13)"),
+            ("arith\n", "line 1: arith takes <zero> <successor>, got ''"),
+            ("const a\narith 0\n", "line 2: arith takes <zero> <successor>, got '0'"),
+            ("arith 0 s t\n", "line 1: arith takes <zero> <successor>, got '0 s t'"),
+            ("const a\nfun f\n", "line 2: fun takes <symbol>/<arity>, got 'f'"),
+            ("fun f/x\n", "line 1: fun takes <symbol>/<arity>, got 'f/x'"),
+            ("const a\npred P/one\n", "line 2: pred takes <symbol>/<arity>, got 'P/one'"),
         ],
-        ids=["name", "rewrite-lhs", "rewrite-rhs", "name-spaced"],
+        ids=[
+            "name",
+            "rewrite-lhs",
+            "rewrite-rhs",
+            "name-spaced",
+            "arith-no-operand",
+            "arith-one-operand",
+            "arith-three-operands",
+            "fun-no-arity",
+            "fun-bad-arity",
+            "pred-bad-arity",
+        ],
     )
     def test_parse_error_positions_count_in_the_line(self, text, message):
         with pytest.raises(SignatureError) as exc:
